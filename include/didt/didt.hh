@@ -76,12 +76,10 @@
 #include "verify/failpoint.hh"
 #include "verify/oracle.hh"
 #include "wavelet/basis.hh"
-#include "wavelet/denoise.hh"
 #include "wavelet/dwt.hh"
 #include "wavelet/flat_decomposition.hh"
 #include "wavelet/fourier.hh"
 #include "wavelet/modwt.hh"
-#include "wavelet/packet.hh"
 #include "wavelet/scalogram.hh"
 #include "wavelet/subband.hh"
 #include "wavelet/wavelet_stats.hh"

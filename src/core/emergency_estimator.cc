@@ -1,8 +1,9 @@
 #include "core/emergency_estimator.hh"
 
+#include <stdexcept>
+
 #include "obs/scoped_timer.hh"
 #include "stats/running_stats.hh"
-#include "util/logging.hh"
 #include "util/simd.hh"
 
 namespace didt
@@ -27,7 +28,8 @@ profileTrace(const CurrentTrace &trace, const SupplyNetwork &network,
 {
     const std::size_t window = model.windowLength();
     if (trace.size() < window)
-        didt_panic("profileTrace: trace shorter than one window");
+        throw std::invalid_argument(
+            "profileTrace: trace shorter than one window");
     obs::ScopedTimer span("model.profile_trace", obs::Histogram{},
                           nullptr, "core");
 

@@ -56,6 +56,8 @@ struct EmergencyProfile
  * @param high_threshold voltage of interest above nominal
  * @param use_levels detail levels the estimator may use (empty = all)
  * @param use_correlation include the correlation adjustment
+ * @throws std::invalid_argument if the trace is shorter than one
+ *         model window
  */
 EmergencyProfile profileTrace(const CurrentTrace &trace,
                               const SupplyNetwork &network,

@@ -293,13 +293,13 @@ HistogramSnapshot::quantile(double q) const
             continue;
         const std::uint64_t next = seen + counts[b];
         if (static_cast<double>(next) >= target) {
-            // Linear interpolation inside the bucket. Edges: the
-            // previous bound below, the bound (or the observed max for
-            // the overflow bucket) above; the first bucket starts at
-            // the observed min.
-            const double lo = b == 0 ? std::min(min, bounds[0])
-                                     : bounds[b - 1];
-            const double hi = b < bounds.size() ? bounds[b] : max;
+            // Linear interpolation inside the bucket, between its
+            // bounds clamped to the observed [min, max]: the first and
+            // overflow buckets are open-ended, and a wide bucket's
+            // bounds can lie far outside every sample it holds.
+            const double lo = b == 0 ? min : std::max(min, bounds[b - 1]);
+            const double hi =
+                b < bounds.size() ? std::min(max, bounds[b]) : max;
             const double frac =
                 (target - static_cast<double>(seen)) /
                 static_cast<double>(counts[b]);

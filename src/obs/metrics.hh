@@ -84,7 +84,7 @@ struct HistogramSnapshot
 
     /**
      * Approximate quantile (0..1) by linear interpolation inside the
-     * containing bucket; exact at bucket edges.
+     * containing bucket; always within [min, max].
      */
     double quantile(double q) const;
 };

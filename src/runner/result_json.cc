@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 
 #include "runner/campaign.hh"
 #include "stats/quantiles.hh"
@@ -36,9 +37,13 @@ readCount(const JsonValue &json, const std::string &key, T *out,
         return false;
     }
     const double value = member->asNumber();
-    if (value < 0.0 || value != std::floor(value)) {
+    // Converting a value T cannot hold is undefined, so reject it here.
+    constexpr int bits = std::numeric_limits<T>::digits;
+    if (value < 0.0 || value != std::floor(value) ||
+        value >= std::ldexp(1.0, bits)) {
         *error = "spec field '" + key +
-                 "' must be a non-negative integer";
+                 "' must be a non-negative integer below 2^" +
+                 std::to_string(bits);
         return false;
     }
     *out = static_cast<T>(value);
@@ -266,6 +271,20 @@ campaignSpecFromJson(const JsonValue &json, CampaignSpec *spec,
         return false;
     if (parsed.windowLength == 0) {
         *error = "spec field 'window' must be positive";
+        return false;
+    }
+    // The variance model's rules: at least one level, and a window that
+    // splits into 2^levels equal blocks (none splits into 2^64 or more).
+    if (parsed.levels == 0) {
+        *error = "spec field 'levels' must be at least 1";
+        return false;
+    }
+    if (parsed.levels >= std::numeric_limits<std::size_t>::digits ||
+        parsed.windowLength % (std::size_t(1) << parsed.levels) != 0) {
+        *error = "spec field 'window' (" +
+                 std::to_string(parsed.windowLength) +
+                 ") must be divisible by 2^levels (2^" +
+                 std::to_string(parsed.levels) + ")";
         return false;
     }
     if (const JsonValue *basis = json.find("basis")) {

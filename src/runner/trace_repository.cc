@@ -199,11 +199,10 @@ TraceRepository::touchLocked(Entry &entry)
 void
 TraceRepository::enforceBudgetLocked()
 {
-    if (budgetBytes_ == 0)
-        return;
     // Never evict the MRU entry: the budget is a cap on the *shared*
     // tier, not a way to thrash the trace a request is using right now.
-    while (residentBytes_ > budgetBytes_ && lru_.size() > 1) {
+    while (budgetBytes_ > 0 && residentBytes_ > budgetBytes_ &&
+           lru_.size() > 1) {
         const std::uint64_t victim = lru_.back();
         auto it = entries_.find(victim);
         if (it != entries_.end()) {

@@ -187,7 +187,8 @@ class TraceRepository
     /** Move @p key to the front (MRU end) of the LRU list. */
     void touchLocked(Entry &entry);
 
-    /** Evict LRU entries until the budget is satisfied. */
+    /** Evict LRU entries until the budget (if any) is satisfied, then
+     *  record the resident size in the repo.resident_bytes gauge. */
     void enforceBudgetLocked();
 
     const ExperimentSetup &setup_;

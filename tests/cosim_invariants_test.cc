@@ -1,21 +1,14 @@
 /**
  * @file
- * Invariant tests on the closed-loop co-simulation and the denoising
- * utility: properties that must hold for every control scheme
- * (commit conservation, determinism, cap behaviour, accounting), and
- * SNR improvement from wavelet shrinkage.
+ * Invariant tests on the closed-loop co-simulation: properties that
+ * must hold for every control scheme (commit conservation,
+ * determinism, cap behaviour, accounting).
  */
-
-#include <cmath>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/cosim.hh"
 #include "core/experiment.hh"
-#include "stats/running_stats.hh"
-#include "util/rng.hh"
-#include "wavelet/denoise.hh"
 #include "workload/profile.hh"
 
 namespace didt
@@ -128,83 +121,6 @@ INSTANTIATE_TEST_SUITE_P(
                       ControlScheme::AnalogSensor,
                       ControlScheme::PipelineDamping,
                       ControlScheme::AdaptiveWavelet));
-
-// ---------------------------------------------------------------------------
-// Denoising
-// ---------------------------------------------------------------------------
-
-TEST(Denoise, ImprovesSnrOnNoisyWaveform)
-{
-    // Clean piecewise-constant current profile + white noise.
-    const std::size_t n = 2048;
-    std::vector<double> clean(n);
-    for (std::size_t t = 0; t < n; ++t)
-        clean[t] = (t / 128) % 2 ? 60.0 : 30.0;
-    Rng rng(9);
-    std::vector<double> noisy(n);
-    for (std::size_t t = 0; t < n; ++t)
-        noisy[t] = clean[t] + rng.normal(0.0, 3.0);
-
-    const auto denoised = denoise(noisy);
-    EXPECT_LT(rmsError(denoised, clean), 0.5 * rmsError(noisy, clean));
-}
-
-TEST(Denoise, SigmaEstimateIsAccurate)
-{
-    Rng rng(10);
-    std::vector<double> x(4096);
-    for (auto &v : x)
-        v = 40.0 + rng.normal(0.0, 2.5);
-    EXPECT_NEAR(estimateNoiseSigma(x), 2.5, 0.3);
-}
-
-TEST(Denoise, PreservesCleanSignalEdges)
-{
-    // A noiseless step should survive (nearly) untouched: its detail
-    // coefficients are far above any estimated threshold.
-    std::vector<double> x(512, 10.0);
-    for (std::size_t t = 256; t < 512; ++t)
-        x[t] = 50.0;
-    // Tiny dither so the sigma estimate is nonzero but negligible.
-    Rng rng(11);
-    for (auto &v : x)
-        v += rng.normal(0.0, 0.01);
-    const auto out = denoise(x);
-    EXPECT_LT(rmsError(out, x), 0.05);
-    EXPECT_NEAR(out[255], 10.0, 0.5);
-    EXPECT_NEAR(out[256], 50.0, 0.5);
-}
-
-TEST(Denoise, HardAndSoftDiffer)
-{
-    Rng rng(12);
-    std::vector<double> x(512);
-    for (auto &v : x)
-        v = 40.0 + rng.normal(0.0, 2.0);
-    DenoiseConfig soft;
-    soft.rule = Shrinkage::Soft;
-    DenoiseConfig hard;
-    hard.rule = Shrinkage::Hard;
-    const auto a = denoise(x, WaveletBasis::haar(), soft);
-    const auto b = denoise(x, WaveletBasis::haar(), hard);
-    EXPECT_NE(a, b);
-}
-
-TEST(Denoise, ExplicitSigmaOverridesEstimate)
-{
-    Rng rng(13);
-    std::vector<double> x(256);
-    for (auto &v : x)
-        v = rng.normal(0.0, 1.0);
-    DenoiseConfig aggressive;
-    aggressive.sigma = 100.0; // threshold kills everything
-    const auto out = denoise(x, WaveletBasis::haar(), aggressive);
-    // Only the (per-window) mean structure survives.
-    RunningStats s;
-    for (double v : out)
-        s.push(v);
-    EXPECT_LT(s.variance(), variance(x) * 0.05);
-}
 
 } // namespace
 } // namespace didt

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -101,14 +102,14 @@ TEST(EdgeDwtDeath, ZeroLevelsPanics)
     EXPECT_DEATH((void)dwt.forward(x, 0), "at least one level");
 }
 
-TEST(EdgeProfileDeath, TraceShorterThanWindowPanics)
+TEST(EdgeProfile, TraceShorterThanWindowThrows)
 {
     const SupplyNetwork net = edgeNetwork();
     VoltageVarianceModel model(net);
     model.calibrateAnalytic();
     const CurrentTrace trace(model.windowLength() - 1, 40.0);
-    EXPECT_DEATH((void)profileTrace(trace, net, model, 0.97, 1.03),
-                 "shorter than one window");
+    EXPECT_THROW((void)profileTrace(trace, net, model, 0.97, 1.03),
+                 std::invalid_argument);
 }
 
 TEST(EdgeScalogram, SingleLevel)

@@ -171,6 +171,25 @@ TEST(Histogram, QuantileInterpolatesWithinBuckets)
     EXPECT_LE(p50, 10.0);
 }
 
+TEST(Histogram, QuantilesStayWithinObservedRange)
+{
+    // All samples sit low in one wide bucket, (1, 1000]: interpolating
+    // to the bucket's bounds would put the median near 500.
+    obs::MetricsRegistry registry;
+    obs::Histogram histogram =
+        registry.histogram("test.wide", {1.0, 1000.0});
+    for (double v : {2.0, 3.0, 4.0, 5.0})
+        histogram.observe(v);
+    const obs::HistogramSnapshot snap = histogram.snapshot();
+    for (int i = 0; i <= 20; ++i) {
+        const double q = i / 20.0;
+        EXPECT_GE(snap.quantile(q), snap.min) << "q " << q;
+        EXPECT_LE(snap.quantile(q), snap.max) << "q " << q;
+    }
+    EXPECT_DOUBLE_EQ(snap.quantile(0.0), 2.0);
+    EXPECT_DOUBLE_EQ(snap.quantile(1.0), 5.0);
+}
+
 TEST(ScopedTimer, RecordsIntoHistogram)
 {
     obs::MetricsRegistry registry;
@@ -232,7 +251,7 @@ TEST(MetricsSnapshot, JsonGolden)
       "max": 1.5,
       "mean": 1,
       "p50": 1,
-      "p95": 1.8999999999999999,
+      "p95": 1.45,
       "bounds": [
         1,
         2

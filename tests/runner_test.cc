@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hh"
 #include "runner/campaign.hh"
 #include "runner/result_json.hh"
 #include "runner/thread_pool.hh"
@@ -169,6 +170,18 @@ TEST(TraceRepository, HitAndMissAccounting)
     EXPECT_EQ(stats.simulations, 2u);
     EXPECT_EQ(stats.diskLoads, 0u);
     EXPECT_EQ(repo.residentTraces(), 2u);
+}
+
+TEST(TraceRepository, ResidentBytesGaugeRecordedWithoutBudget)
+{
+    TraceRepository repo(sharedSetup());
+    ASSERT_EQ(repo.memoryBudgetBytes(), 0u);
+    (void)repo.get(tinyProfile("gauge", 13), 3000);
+    ASSERT_GT(repo.residentBytes(), 0u);
+    EXPECT_EQ(obs::MetricsRegistry::global()
+                  .gauge("repo.resident_bytes")
+                  .last(),
+              static_cast<double>(repo.residentBytes()));
 }
 
 TEST(TraceRepository, ConcurrentRequestsSimulateOnce)

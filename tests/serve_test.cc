@@ -229,6 +229,12 @@ TEST(Protocol, RejectsBadRequests)
         "\"spec\": {\"benchmarks\": [\"not-a-spec2000-name\"]}}",
         &request, &error));
     EXPECT_NE(error.find("benchmark"), std::string::npos) << error;
+    // A count too large for its field.
+    EXPECT_FALSE(serve::parseRequest(
+        "{\"schema\": \"didt-serve-v1\", \"type\": \"characterize\", "
+        "\"spec\": {\"levels\": 1e30}}",
+        &request, &error));
+    EXPECT_NE(error.find("levels"), std::string::npos) << error;
 }
 
 TEST(Protocol, ErrorCodeNames)
@@ -595,6 +601,83 @@ TEST(Server, DecodeFailpointBecomesPerRequestError)
         << error;
     EXPECT_EQ(parseResponse(response).find("type")->asString(), "pong");
     verify::resetFailPoints();
+}
+
+/**
+ * Send one characterize request for @p spec to a fresh daemon, then a
+ * ping: a bad request must cost only its own answer, never the daemon.
+ * Returns the characterize response.
+ */
+JsonValue
+characterizeThenPing(const char *tag, const CampaignSpec &spec)
+{
+    serve::ServerConfig config;
+    config.unixPath = testSocketPath(tag);
+    config.jobs = 1;
+    serve::Server server(sharedSetup(), config);
+    std::string error;
+    EXPECT_TRUE(server.start(&error)) << error;
+    const JsonValue response = parseResponse(
+        callServer(config.unixPath,
+                   serve::characterizeRequestJson(
+                       tag, campaignSpecToJson(spec))));
+    const JsonValue pong = parseResponse(
+        callServer(config.unixPath, serve::pingRequestJson("after")));
+    EXPECT_EQ(pong.find("type")->asString(), "pong");
+    return response;
+}
+
+/** The request's typed error code ("" when it is not an error). */
+std::string
+errorCode(const JsonValue &response)
+{
+    if (response.find("type")->asString() != "error")
+        return "";
+    return response.find("error")->find("code")->asString();
+}
+
+TEST(Server, ZeroLevelsIsABadRequest)
+{
+    CampaignSpec spec = smallSpec();
+    spec.levels = 0;
+    EXPECT_EQ(errorCode(characterizeThenPing("lv0", spec)), "bad_request");
+}
+
+TEST(Server, MoreLevelsThanTheWindowSplitsIsABadRequest)
+{
+    CampaignSpec spec = smallSpec();
+    spec.windowLength = 256;
+    spec.levels = 9;
+    EXPECT_EQ(errorCode(characterizeThenPing("lv9", spec)), "bad_request");
+}
+
+TEST(Server, WindowNotDivisibleByTwoToTheLevelsIsABadRequest)
+{
+    CampaignSpec spec = smallSpec();
+    spec.windowLength = 100;
+    spec.levels = 8;
+    EXPECT_EQ(errorCode(characterizeThenPing("w100", spec)),
+              "bad_request");
+}
+
+TEST(Server, TraceShorterThanOneWindowIsAFailedCell)
+{
+    CampaignSpec spec = smallSpec();
+    spec.profiles = {profileByName("gzip")};
+    spec.impedanceScales = {1.0};
+    spec.windowLength = 256;
+    spec.levels = 8;
+    spec.instructions = 100;
+    const JsonValue response = characterizeThenPing("i100", spec);
+    ASSERT_EQ(response.find("type")->asString(), "result")
+        << response.dump();
+    const JsonValue &cells = *response.find("result")->find("cells");
+    ASSERT_EQ(cells.items().size(), 1u);
+    ASSERT_NE(cells.items()[0].find("failed"), nullptr);
+    EXPECT_TRUE(cells.items()[0].find("failed")->asBool());
+    EXPECT_NE(cells.items()[0].find("error")->asString().find(
+                  "shorter than one window"),
+              std::string::npos);
 }
 
 TEST(Server, PongAdvertisesTelemetryFeatures)

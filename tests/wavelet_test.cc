@@ -169,6 +169,14 @@ struct DwtCase
     std::size_t levels;
 };
 
+// gtest_discover_tests names each ctest entry after this printed form.
+// Without it gtest dumps the raw bytes, basis pointer included, and the
+// names change with every load address.
+void PrintTo(const DwtCase &c, std::ostream *os)
+{
+    *os << c.basis << " n=" << c.length << " levels=" << c.levels;
+}
+
 class DwtRoundTrip : public ::testing::TestWithParam<DwtCase>
 {
 };
