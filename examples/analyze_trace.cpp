@@ -17,6 +17,7 @@
  */
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "didt/didt.hh"
 
@@ -83,7 +84,12 @@ main(int argc, char **argv)
     std::vector<CurrentTrace> training{
         CurrentTrace(trace.begin(), trace.begin() + split)};
     VoltageVarianceModel model(network);
-    model.calibrateOnTraces(training);
+    try {
+        model.calibrateOnTraces(training);
+    } catch (const std::invalid_argument &e) {
+        didt_fatal("trace too short to calibrate on its leading quarter: ",
+                   e.what());
+    }
 
     const CurrentTrace rest(trace.begin() + split, trace.end());
     const Volt threshold = opts.getDouble("threshold");

@@ -18,21 +18,12 @@ namespace
 {
 
 /**
- * The per-cycle loop, templated on the concrete monitor type: when
- * MonitorT is one of the final monitor classes the compiler resolves
- * monitor->update() statically and inlines it, removing the per-cycle
- * virtual dispatch behind fig15/table2. Instantiated with the abstract
- * VoltageMonitor when cfg.devirtualize is off, which reproduces the
- * original per-cycle virtual path. The body is identical either way,
- * so results are bit-for-bit the same.
- *
- * The loop runs in chunks with the maxCycles budget hoisted out of the
- * inner loop; as before, the cycle that exhausts the instruction
+ * The per-cycle loop, run in chunks with the maxCycles budget hoisted
+ * out of the inner loop; the cycle that exhausts the instruction
  * stream still completes in full.
  */
-template <class MonitorT>
 void
-runLoop(Processor &processor, SupplyStream &supply, MonitorT *monitor,
+runLoop(Processor &processor, SupplyStream &supply, VoltageMonitor *monitor,
         OnlineCharacterizer *hazard, ThresholdController *threshold,
         PipelineDampingController *damping, const CosimConfig &cfg,
         const SupplyNetwork &network, const Volt low_fault,
@@ -177,32 +168,9 @@ runClosedLoop(const BenchmarkProfile &profile, const ProcessorConfig &proc,
     const Volt high_safe = cfg.control.highControl();
 
     double current_sum = 0.0;
-    const auto loop = [&](auto *concrete_monitor) {
-        runLoop(processor, supply, concrete_monitor, hazard.get(),
-                threshold.get(), damping.get(), cfg, network, low_fault,
-                high_fault, low_safe, high_safe, result, current_sum);
-    };
-    if (!cfg.devirtualize) {
-        loop(monitor.get());
-    } else {
-        // Monomorphize on the scheme's concrete (final) monitor class.
-        switch (cfg.scheme) {
-          case ControlScheme::Wavelet:
-          case ControlScheme::AdaptiveWavelet:
-            loop(static_cast<WaveletMonitor *>(monitor.get()));
-            break;
-          case ControlScheme::FullConvolution:
-            loop(static_cast<FullConvolutionMonitor *>(monitor.get()));
-            break;
-          case ControlScheme::AnalogSensor:
-            loop(static_cast<AnalogSensorMonitor *>(monitor.get()));
-            break;
-          case ControlScheme::None:
-          case ControlScheme::PipelineDamping:
-            loop(monitor.get()); // no monitor to devirtualize
-            break;
-        }
-    }
+    runLoop(processor, supply, monitor.get(), hazard.get(), threshold.get(),
+            damping.get(), cfg, network, low_fault, high_fault, low_safe,
+            high_safe, result, current_sum);
 
     result.committed = processor.stats().committed;
     result.energyJ = processor.stats().totalEnergyJ;

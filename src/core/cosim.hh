@@ -89,15 +89,6 @@ struct CosimConfig
 
     /** Extra RNG seed fed to the workload. */
     std::uint64_t seed = 0;
-
-    /**
-     * Monomorphize the cycle loop on the concrete monitor type so the
-     * per-cycle virtual dispatch disappears (the loop body is
-     * otherwise identical, so results are bit-for-bit the same).
-     * Disable to force the per-cycle virtual reference path — used by
-     * the equivalence tests and the cosim bench rows.
-     */
-    bool devirtualize = true;
 };
 
 /** Results of one closed-loop run. */

@@ -73,7 +73,7 @@ WaveletMonitor::WaveletMonitor(std::span<const double> impulse_response,
         tailWeight_ += z[m];
 
     const Dwt dwt(WaveletBasis::haar());
-    const WaveletDecomposition gamma = dwt.forward(reversed, levels_);
+    const FlatDecomposition gamma = dwt.forward(reversed, levels_);
     const std::vector<CoefficientRef> ranked = rankCoefficients(gamma);
 
     // The approximation terms are always retained: they carry the IR
@@ -81,9 +81,10 @@ WaveletMonitor::WaveletMonitor(std::span<const double> impulse_response,
     // computes the approximation term explicitly alongside the detail
     // terms. Remaining slots are filled by decreasing |weight|.
     const std::size_t keep = std::min(terms, ranked.size());
+    const std::span<const double> approx = gamma.approximation();
     terms_.reserve(keep);
-    for (std::size_t k = 0; k < gamma.approximation.size() && terms_.size() < keep; ++k)
-        terms_.push_back(Term{levels_, k, gamma.approximation[k]});
+    for (std::size_t k = 0; k < approx.size() && terms_.size() < keep; ++k)
+        terms_.push_back(Term{levels_, k, approx[k]});
     for (const CoefficientRef &ref : ranked) {
         if (terms_.size() >= keep)
             break;
@@ -94,15 +95,14 @@ WaveletMonitor::WaveletMonitor(std::span<const double> impulse_response,
 
     // Worst-case error: reconstruct the kept part of the kernel and
     // take the L1 norm of what was dropped.
-    WaveletDecomposition kept = gamma;
-    for (auto &lvl : kept.details)
-        std::fill(lvl.begin(), lvl.end(), 0.0);
-    std::fill(kept.approximation.begin(), kept.approximation.end(), 0.0);
+    FlatDecomposition kept = gamma;
+    const std::span<double> all = kept.coefficients();
+    std::fill(all.begin(), all.end(), 0.0);
     for (const Term &t : terms_) {
         if (t.level == levels_)
-            kept.approximation[t.k] = gamma.approximation[t.k];
+            kept.approximation()[t.k] = t.weight;
         else
-            kept.details[t.level][t.k] = gamma.details[t.level][t.k];
+            kept.detail(t.level)[t.k] = t.weight;
     }
     const std::vector<double> kept_kernel = dwt.inverse(kept);
     droppedL1_ = 0.0;
@@ -182,8 +182,8 @@ WaveletMonitor::updateBlock(std::span<const Amp> current,
                             std::span<Volt> out)
 {
     checkBlockSpans(current, true_voltage, out);
-    // The qualified call on a final class devirtualizes and inlines:
-    // one virtual dispatch per block instead of per cycle.
+    // The qualified call on a final class binds statically and
+    // inlines: one virtual dispatch per block instead of per cycle.
     for (std::size_t n = 0; n < current.size(); ++n)
         out[n] = WaveletMonitor::update(current[n], true_voltage[n]);
 }

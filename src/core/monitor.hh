@@ -53,7 +53,7 @@ class VoltageMonitor
      * Advance a block of cycles at once: out[n] = the estimate for
      * cycle n. All three spans must have equal length. The default
      * loops over update(); the concrete monitors override it with a
-     * devirtualized loop so open-loop trace evaluation pays one
+     * statically bound loop so open-loop trace evaluation pays one
      * virtual call per block instead of one per cycle. Results are
      * identical to calling update() cycle by cycle.
      */

@@ -4,6 +4,8 @@
 #include <array>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "obs/scoped_timer.hh"
 #include "stats/running_stats.hh"
@@ -214,8 +216,9 @@ VoltageVarianceModel::calibrateOnTraces(std::span<const CurrentTrace> traces)
         }
     }
     if (windows < 16)
-        didt_fatal("calibrateOnTraces needs at least 16 windows, got ",
-                   windows);
+        throw std::invalid_argument(
+            "calibrateOnTraces needs at least 16 windows, got " +
+            std::to_string(windows));
     finishRegression(reg);
 }
 

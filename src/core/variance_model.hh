@@ -100,7 +100,9 @@ class VoltageVarianceModel
      * Calibrate by regression on windows cut from the supplied current
      * traces (typically microbenchmarks run on the processor model, so
      * the training family matches real machine behaviour). Targets are
-     * the exact steady-state voltage variances of each window.
+     * the exact steady-state voltage variances of each window. Throws
+     * std::invalid_argument when the traces hold fewer than 16
+     * windows, too few to fit the per-scale factors.
      */
     void calibrateOnTraces(std::span<const CurrentTrace> traces);
 

@@ -1,9 +1,11 @@
 #include "runner/campaign.hh"
 
 #include <cmath>
+#include <limits>
 
 #include "runner/executor.hh"
 #include "runner/plan.hh"
+#include "wavelet/basis.hh"
 
 namespace didt
 {
@@ -30,6 +32,60 @@ CampaignSpec::isChipSweep() const
         if (cores != 1)
             return true;
     return false;
+}
+
+bool
+validateSpec(const CampaignSpec &spec, std::string *error)
+{
+    const auto fail = [error](std::string message) {
+        *error = std::move(message);
+        return false;
+    };
+    if (spec.impedanceScales.empty())
+        return fail("spec field 'impedance_scales' must not be empty");
+    for (double scale : spec.impedanceScales)
+        if (!(scale > 0.0))
+            return fail("spec field 'impedance_scales' must hold "
+                        "positive numbers");
+    if (spec.windowLength == 0)
+        return fail("spec field 'window' must be positive");
+    // The variance model's rules: at least one level, and a window that
+    // splits into 2^levels equal blocks (none splits into 2^64 or more).
+    if (spec.levels == 0)
+        return fail("spec field 'levels' must be at least 1");
+    if (spec.levels >= std::numeric_limits<std::size_t>::digits ||
+        spec.windowLength % (std::size_t(1) << spec.levels) != 0)
+        return fail("spec field 'window' (" +
+                    std::to_string(spec.windowLength) +
+                    ") must be divisible by 2^levels (2^" +
+                    std::to_string(spec.levels) + ")");
+    if (!WaveletBasis::isKnownName(spec.basis))
+        return fail("unknown wavelet basis '" + spec.basis + "' (try " +
+                    WaveletBasis::knownNamesHint() + ")");
+    for (std::size_t cores : spec.coreCounts)
+        if (cores < 1 || cores > 1024)
+            return fail("spec field 'cores' must hold integers in "
+                        "[1, 1024]");
+    if (!spec.mixes.empty() && !spec.profiles.empty())
+        return fail("spec fields 'benchmarks' and 'mixes' are "
+                    "mutually exclusive");
+    if (spec.l2Banks == 0 || (spec.l2Banks & (spec.l2Banks - 1)) != 0)
+        return fail("spec field 'l2_banks' must be a power of two");
+    if (spec.isSampled()) {
+        if (spec.sampleDetail == 0)
+            return fail("spec field 'sample_detail' must be positive "
+                        "when 'sample_skip' is set");
+        if (spec.sampleWarmup > spec.sampleSkip)
+            return fail("spec field 'sample_warmup' must not exceed "
+                        "'sample_skip'");
+    }
+    if (spec.mcDraws > 100000)
+        return fail("spec field 'mc_draws' must not exceed 100000");
+    for (double sigma :
+         {spec.mcSigmaR, spec.mcSigmaResonance, spec.mcSigmaQ})
+        if (!(sigma >= 0.0 && sigma <= 1.0))
+            return fail("spec fields 'mc_sigma_*' must be in [0, 1]");
+    return true;
 }
 
 double

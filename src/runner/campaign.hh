@@ -148,6 +148,21 @@ struct CampaignSpec
     }
 };
 
+/**
+ * The value and cross-field rules every spec entry point shares
+ * (campaignSpecFromJson, didt_campaign, didt_client): at least one
+ * positive impedance scale, a window that splits into 2^levels equal
+ * blocks with levels >= 1, a known basis, chip sizes in [1, 1024],
+ * benchmarks or mixes but not both, a power-of-two L2 bank count, a
+ * consistent sampling geometry, and at most 100000 Monte Carlo draws
+ * with sigmas in [0, 1]. Name resolution and type checks stay with
+ * each parser.
+ *
+ * @return true when @p spec is valid; otherwise false with one
+ *         message, naming the spec's JSON field, in @p error
+ */
+bool validateSpec(const CampaignSpec &spec, std::string *error);
+
 /** One (benchmark, impedance scale) cell of a campaign. */
 struct CampaignCell
 {
@@ -229,6 +244,9 @@ struct CampaignResult
  * @param cancel optional cooperative cancellation flag: once true,
  *        cells that have not started are marked failed/"interrupted"
  *        instead of evaluated (graceful SIGINT/SIGTERM drain)
+ * @throws std::invalid_argument when the spec cannot be evaluated at
+ *         all: its window leaves too few calibration windows. A fault
+ *         in one cell only marks that cell failed.
  */
 CampaignResult
 runCharacterizationCampaign(const ExperimentSetup &setup,

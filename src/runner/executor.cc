@@ -4,6 +4,7 @@
 #include <cstring>
 #include <future>
 #include <optional>
+#include <stdexcept>
 
 #include "core/emergency_estimator.hh"
 #include "obs/metrics.hh"
@@ -217,20 +218,42 @@ Executor::calibratedScales(const CampaignSpec &spec)
     obs::ScopedTimer phase("campaign.calibrate", {}, nullptr,
                            "campaign");
     const obs::TraceContext ctx = obs::currentTraceContext();
-    pool_.parallelFor(missing.size(), [&](std::size_t mi) {
-        obs::ScopedTraceContext scope(ctx);
-        obs::ScopedTimer timer("calibrate scale",
-                               campaignMetrics().calibrateMs, nullptr,
-                               "campaign");
-        const std::size_t si = missing[mi];
-        // result[si] points at the entry this run just inserted, so
-        // writing through the const_cast is exclusive to this task.
-        auto *entry = const_cast<CalibratedScale *>(result[si]);
-        auto model = std::make_unique<VoltageVarianceModel>(
-            entry->network, spec.windowLength, spec.levels, basis);
-        model->calibrateOnTraces(training);
-        entry->model = std::move(model);
-    });
+    std::vector<std::string> errors(missing.size());
+    try {
+        pool_.parallelFor(missing.size(), [&](std::size_t mi) {
+            obs::ScopedTraceContext scope(ctx);
+            obs::ScopedTimer timer("calibrate scale",
+                                   campaignMetrics().calibrateMs, nullptr,
+                                   "campaign");
+            const std::size_t si = missing[mi];
+            // result[si] points at the entry this run just inserted, so
+            // writing through the const_cast is exclusive to this task.
+            auto *entry = const_cast<CalibratedScale *>(result[si]);
+            auto model = std::make_unique<VoltageVarianceModel>(
+                entry->network, spec.windowLength, spec.levels, basis);
+            try {
+                model->calibrateOnTraces(training);
+            } catch (const std::invalid_argument &e) {
+                // Hand the caller the message, not the exception: the
+                // C++ runtime counts references to a thrown object
+                // outside ThreadSanitizer's view, so freeing it on
+                // another thread than the reader's reports a race.
+                errors[mi] = e.what();
+                return;
+            }
+            entry->model = std::move(model);
+        });
+        for (const std::string &error : errors)
+            if (!error.empty())
+                throw std::invalid_argument(error);
+    } catch (...) {
+        // A failed fit leaves no entry behind, so the next run with its
+        // key fits again instead of finding a null model.
+        std::erase_if(models_, [](const auto &kv) {
+            return kv.second->model == nullptr;
+        });
+        throw;
+    }
     return result;
 }
 

@@ -138,6 +138,9 @@ class Executor
      * Calibrated models for the plan's scales, in scale order. Missing
      * entries are calibrated in parallel; cached entries are returned
      * as-is. Returned pointers stay valid for the executor's lifetime.
+     * A fit that throws (std::invalid_argument when the spec's window
+     * leaves too few training windows) is rethrown and leaves no
+     * entry behind.
      */
     std::vector<const CalibratedScale *>
     calibratedScales(const CampaignSpec &spec);

@@ -8,7 +8,6 @@
 #include "stats/quantiles.hh"
 #include "util/csv.hh"
 #include "util/logging.hh"
-#include "wavelet/basis.hh"
 #include "workload/mix.hh"
 
 namespace didt
@@ -23,20 +22,17 @@ namespace
  */
 constexpr double kEmergencyBudgetsPct[] = {0.01, 0.1, 0.5, 1.0, 2.0, 5.0};
 
-/** Read an optional non-negative integer member into @p out. */
+/** Read a non-negative integer that @p T holds into @p out. */
 template <typename T>
 bool
-readCount(const JsonValue &json, const std::string &key, T *out,
-          std::string *error)
+countFromJson(const JsonValue &member, const std::string &key, T *out,
+              std::string *error)
 {
-    const JsonValue *member = json.find(key);
-    if (!member)
-        return true;
-    if (member->kind() != JsonValue::Kind::Number) {
+    if (member.kind() != JsonValue::Kind::Number) {
         *error = "spec field '" + key + "' must be a number";
         return false;
     }
-    const double value = member->asNumber();
+    const double value = member.asNumber();
     // Converting a value T cannot hold is undefined, so reject it here.
     constexpr int bits = std::numeric_limits<T>::digits;
     if (value < 0.0 || value != std::floor(value) ||
@@ -48,6 +44,16 @@ readCount(const JsonValue &json, const std::string &key, T *out,
     }
     *out = static_cast<T>(value);
     return true;
+}
+
+/** Read an optional non-negative integer member into @p out. */
+template <typename T>
+bool
+readCount(const JsonValue &json, const std::string &key, T *out,
+          std::string *error)
+{
+    const JsonValue *member = json.find(key);
+    return !member || countFromJson(*member, key, out, error);
 }
 
 /** Read an optional number member into @p out. */
@@ -250,17 +256,12 @@ campaignSpecFromJson(const JsonValue &json, CampaignSpec *spec,
         }
         parsed.impedanceScales.clear();
         for (const JsonValue &scale : scales->items()) {
-            if (scale.kind() != JsonValue::Kind::Number ||
-                scale.asNumber() <= 0.0) {
+            if (scale.kind() != JsonValue::Kind::Number) {
                 *error = "spec field 'impedance_scales' must hold "
-                         "positive numbers";
+                         "numbers";
                 return false;
             }
             parsed.impedanceScales.push_back(scale.asNumber());
-        }
-        if (parsed.impedanceScales.empty()) {
-            *error = "spec field 'impedance_scales' must not be empty";
-            return false;
         }
     }
     if (!readCount(json, "window", &parsed.windowLength, error) ||
@@ -269,32 +270,9 @@ campaignSpecFromJson(const JsonValue &json, CampaignSpec *spec,
         !readCount(json, "seed", &parsed.seed, error) ||
         !readCount(json, "trim_warmup", &parsed.trimWarmup, error))
         return false;
-    if (parsed.windowLength == 0) {
-        *error = "spec field 'window' must be positive";
-        return false;
-    }
-    // The variance model's rules: at least one level, and a window that
-    // splits into 2^levels equal blocks (none splits into 2^64 or more).
-    if (parsed.levels == 0) {
-        *error = "spec field 'levels' must be at least 1";
-        return false;
-    }
-    if (parsed.levels >= std::numeric_limits<std::size_t>::digits ||
-        parsed.windowLength % (std::size_t(1) << parsed.levels) != 0) {
-        *error = "spec field 'window' (" +
-                 std::to_string(parsed.windowLength) +
-                 ") must be divisible by 2^levels (2^" +
-                 std::to_string(parsed.levels) + ")";
-        return false;
-    }
     if (const JsonValue *basis = json.find("basis")) {
         if (basis->kind() != JsonValue::Kind::String) {
             *error = "spec field 'basis' must be a string";
-            return false;
-        }
-        if (!WaveletBasis::isKnownName(basis->asString())) {
-            *error = "unknown wavelet basis '" + basis->asString() +
-                     "' (try " + WaveletBasis::knownNamesHint() + ")";
             return false;
         }
         parsed.basis = basis->asString();
@@ -317,16 +295,10 @@ campaignSpecFromJson(const JsonValue &json, CampaignSpec *spec,
             return false;
         }
         for (const JsonValue &count : cores->items()) {
-            if (count.kind() != JsonValue::Kind::Number ||
-                count.asNumber() < 1.0 ||
-                count.asNumber() != std::floor(count.asNumber()) ||
-                count.asNumber() > 1024.0) {
-                *error = "spec field 'cores' must hold integers in "
-                         "[1, 1024]";
+            std::size_t value = 0;
+            if (!countFromJson(count, "cores", &value, error))
                 return false;
-            }
-            parsed.coreCounts.push_back(
-                static_cast<std::size_t>(count.asNumber()));
+            parsed.coreCounts.push_back(value);
         }
     }
     if (const JsonValue *mixes = json.find("mixes")) {
@@ -346,37 +318,15 @@ campaignSpecFromJson(const JsonValue &json, CampaignSpec *spec,
             }
             parsed.mixes.push_back(name.asString());
         }
-        if (!parsed.profiles.empty()) {
-            *error = "spec fields 'benchmarks' and 'mixes' are "
-                     "mutually exclusive";
-            return false;
-        }
     }
     if (!readCount(json, "l2_banks", &parsed.l2Banks, error) ||
         !readCount(json, "l2_bank_penalty", &parsed.l2BankPenalty,
                    error))
         return false;
-    if (parsed.l2Banks == 0 ||
-        (parsed.l2Banks & (parsed.l2Banks - 1)) != 0) {
-        *error = "spec field 'l2_banks' must be a power of two";
-        return false;
-    }
     if (!readCount(json, "sample_detail", &parsed.sampleDetail, error) ||
         !readCount(json, "sample_skip", &parsed.sampleSkip, error) ||
         !readCount(json, "sample_warmup", &parsed.sampleWarmup, error))
         return false;
-    if (parsed.isSampled()) {
-        if (parsed.sampleDetail == 0) {
-            *error = "spec field 'sample_detail' must be positive when "
-                     "'sample_skip' is set";
-            return false;
-        }
-        if (parsed.sampleWarmup > parsed.sampleSkip) {
-            *error = "spec field 'sample_warmup' must not exceed "
-                     "'sample_skip'";
-            return false;
-        }
-    }
     if (!readCount(json, "mc_draws", &parsed.mcDraws, error) ||
         !readCount(json, "mc_seed", &parsed.mcSeed, error) ||
         !readNumber(json, "mc_sigma_r", &parsed.mcSigmaR, error) ||
@@ -384,17 +334,8 @@ campaignSpecFromJson(const JsonValue &json, CampaignSpec *spec,
                     &parsed.mcSigmaResonance, error) ||
         !readNumber(json, "mc_sigma_q", &parsed.mcSigmaQ, error))
         return false;
-    if (parsed.mcDraws > 100000) {
-        *error = "spec field 'mc_draws' must not exceed 100000";
+    if (!validateSpec(parsed, error))
         return false;
-    }
-    for (double sigma : {parsed.mcSigmaR, parsed.mcSigmaResonance,
-                         parsed.mcSigmaQ}) {
-        if (sigma < 0.0 || sigma > 1.0) {
-            *error = "spec fields 'mc_sigma_*' must be in [0, 1]";
-            return false;
-        }
-    }
     *spec = std::move(parsed);
     return true;
 }

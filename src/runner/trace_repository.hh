@@ -69,8 +69,8 @@ struct TraceRequest
      * bank-conflict model.
      */
     std::size_t cores = 1;
-    std::vector<BenchmarkProfile> coreProfiles; ///< per-core, cores > 1
-    std::vector<std::uint64_t> coreSeeds;       ///< per-core, cores > 1
+    std::vector<BenchmarkProfile> coreProfiles{}; ///< per-core, cores > 1
+    std::vector<std::uint64_t> coreSeeds{};       ///< per-core, cores > 1
     std::size_t l2Banks = 8;        ///< chip shared-L2 banks
     std::size_t l2BankPenalty = 4;  ///< bank-conflict stall cycles
 

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -796,11 +797,18 @@ Server::runBatch(std::vector<Job> batch)
     } catch (const std::exception &e) {
         // Executor-level failures (cell-level faults land in the
         // result, not here) fail the batch's requests, not the daemon.
+        // std::invalid_argument means the spec cannot be evaluated at
+        // all (e.g. a window too long to calibrate): the request is at
+        // fault, not the daemon.
+        const ErrorCode code =
+            dynamic_cast<const std::invalid_argument *>(&e) != nullptr
+                ? ErrorCode::BadRequest
+                : ErrorCode::Internal;
         for (Job &job : batch) {
             events_.append("request_failed",
                            eventId(job.id) + " " + std::string(e.what()));
-            job.response.set_value(errorResponseJson(
-                job.id, ErrorCode::Internal, e.what()));
+            job.response.set_value(
+                errorResponseJson(job.id, code, e.what()));
         }
     }
     if (batchSpan != 0)

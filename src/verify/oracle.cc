@@ -204,30 +204,10 @@ Oracle::checkScheme(ControlScheme scheme, const BenchmarkProfile &profile,
     cfg.hazardModel = hazard_model;
     cfg.maxCycles = instructions * 64;
 
-    cfg.devirtualize = true;
-    const CosimResult fast =
+    const CosimResult result =
         runClosedLoop(profile, setup_.proc, setup_.power, network, cfg);
-    cfg.devirtualize = false;
-    const CosimResult reference =
-        runClosedLoop(profile, setup_.proc, setup_.power, network, cfg);
-
-    report.devirtualizedMatchesReference =
-        fast.cycles == reference.cycles &&
-        fast.committed == reference.committed &&
-        fast.lowFaults == reference.lowFaults &&
-        fast.highFaults == reference.highFaults &&
-        fast.controlCycles == reference.controlCycles &&
-        fast.stallCycles == reference.stallCycles &&
-        fast.noopCycles == reference.noopCycles &&
-        fast.falsePositives == reference.falsePositives &&
-        fast.minVoltage == reference.minVoltage &&
-        fast.maxVoltage == reference.maxVoltage &&
-        fast.meanCurrent == reference.meanCurrent &&
-        fast.energyJ == reference.energyJ;
-    report.committedAll = fast.committed == instructions &&
-                          reference.committed == instructions;
-    report.pass =
-        report.devirtualizedMatchesReference && report.committedAll;
+    report.committedAll = result.committed == instructions;
+    report.pass = report.committedAll;
     return report;
 }
 

@@ -1,34 +1,12 @@
 #include "wavelet/dwt.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.hh"
 #include "util/simd.hh"
 
 namespace didt
 {
-
-std::size_t
-WaveletDecomposition::totalCoefficients() const
-{
-    std::size_t n = approximation.size();
-    for (const auto &level : details)
-        n += level.size();
-    return n;
-}
-
-double
-WaveletDecomposition::energy() const
-{
-    double e = 0.0;
-    for (const auto &level : details)
-        for (double c : level)
-            e += c * c;
-    for (double c : approximation)
-        e += c * c;
-    return e;
-}
 
 Dwt::Dwt(WaveletBasis basis)
     : basis_(std::move(basis))
@@ -75,19 +53,6 @@ Dwt::analyzeStep(std::span<const double> input, std::span<double> approx,
         approx[k] = a;
         detail[k] = d;
     }
-}
-
-void
-Dwt::analyzeStep(std::span<const double> input, std::vector<double> &approx,
-                 std::vector<double> &detail) const
-{
-    const std::size_t n = input.size();
-    if (n % 2 != 0 || n == 0)
-        didt_panic("analyzeStep needs even non-zero length, got ", n);
-    approx.resize(n / 2);
-    detail.resize(n / 2);
-    analyzeStep(input, std::span<double>(approx),
-                std::span<double>(detail));
 }
 
 void
@@ -139,15 +104,6 @@ Dwt::synthesizeStep(std::span<const double> approx,
     }
 }
 
-std::vector<double>
-Dwt::synthesizeStep(std::span<const double> approx,
-                    std::span<const double> detail) const
-{
-    std::vector<double> out(2 * approx.size(), 0.0);
-    synthesizeStep(approx, detail, std::span<double>(out));
-    return out;
-}
-
 std::size_t
 Dwt::maxLevels(std::size_t n) const
 {
@@ -194,57 +150,45 @@ Dwt::forward(std::span<const double> signal, std::size_t levels,
     }
 }
 
-void
-Dwt::inverse(const FlatDecomposition &dec, std::span<double> out,
-             DwtWorkspace &ws) const
+FlatDecomposition
+Dwt::forward(std::span<const double> signal, std::size_t levels) const
+{
+    FlatDecomposition out;
+    DwtWorkspace ws;
+    forward(signal, levels, out, ws);
+    return out;
+}
+
+std::vector<double>
+Dwt::inverse(const FlatDecomposition &dec) const
 {
     const std::size_t levels = dec.levels();
     if (levels == 0)
         didt_panic("inverse() on empty decomposition");
     const std::size_t n = dec.signalLength();
-    if (out.size() != n)
-        didt_panic("inverse() output must hold ", n, " samples, got ",
-                   out.size());
-
-    ws.ping.resize(n);
-    ws.pong.resize(n / 2);
     const std::span<const double> approx = dec.approximation();
-    std::copy(approx.begin(), approx.end(), ws.ping.begin());
+    if (approx.size() << levels != n)
+        didt_panic("inverse() needs a dyadic decomposition");
+    std::vector<double> out(n, 0.0);
 
-    double *current = ws.ping.data();
-    double *other = ws.pong.data();
+    // Mirror of forward(): ping/pong the approximation chain upward;
+    // the finest merge writes straight into the output.
+    std::vector<double> ping(n / 2);
+    std::vector<double> pong(n / 2);
+    std::copy(approx.begin(), approx.end(), ping.begin());
+
+    double *current = ping.data();
+    double *other = pong.data();
     std::size_t len = approx.size();
     for (std::size_t level = levels; level-- > 0;) {
         const std::span<double> merged =
-            level == 0 ? out : std::span<double>(other, 2 * len);
+            level == 0 ? std::span<double>(out)
+                       : std::span<double>(other, 2 * len);
         synthesizeStep(std::span<const double>(current, len),
                        dec.detail(level), merged);
         len *= 2;
         std::swap(current, other);
     }
-    if (len != n)
-        didt_panic("inverse() produced length ", len, ", expected ", n);
-}
-
-WaveletDecomposition
-Dwt::forward(std::span<const double> signal, std::size_t levels) const
-{
-    DwtWorkspace ws;
-    FlatDecomposition flat;
-    forward(signal, levels, flat, ws);
-    return flat.toNested();
-}
-
-std::vector<double>
-Dwt::inverse(const WaveletDecomposition &dec) const
-{
-    if (dec.details.empty())
-        didt_panic("inverse() on empty decomposition");
-
-    DwtWorkspace ws;
-    ws.masked.assignFrom(dec);
-    std::vector<double> out(dec.signalLength, 0.0);
-    inverse(ws.masked, std::span<double>(out), ws);
     return out;
 }
 

@@ -3,9 +3,9 @@
  * Fast discrete wavelet transform (Mallat's pyramid algorithm).
  *
  * Implements the O(N) fast wavelet transform the paper relies on
- * (Section 2.1), with periodic boundary extension. The decomposition
- * holds detail coefficients per level plus the final approximation,
- * mirroring the coefficient matrix of paper Figure 2.
+ * (Section 2.1), with periodic boundary extension. A FlatDecomposition
+ * holds the detail coefficients per level plus the final
+ * approximation, mirroring the coefficient matrix of paper Figure 2.
  */
 
 #ifndef DIDT_WAVELET_DWT_HH
@@ -20,37 +20,6 @@
 
 namespace didt
 {
-
-/**
- * A multi-level wavelet decomposition.
- *
- * Level numbering: details[0] is the *finest* scale (the paper's d[0,k]
- * row); details[L-1] is the coarsest detail level (the paper's most
- * negative j). approximation holds the coarse a[k] coefficients.
- */
-struct WaveletDecomposition
-{
-    /** Detail coefficients, one vector per level, finest first. */
-    std::vector<std::vector<double>> details;
-
-    /** Approximation coefficients at the coarsest level. */
-    std::vector<double> approximation;
-
-    /** Length of the original signal. */
-    std::size_t signalLength = 0;
-
-    /** Number of detail levels. */
-    std::size_t levels() const { return details.size(); }
-
-    /** Total number of coefficients (details + approximation). */
-    std::size_t totalCoefficients() const;
-
-    /**
-     * Sum of squared coefficients; by Parseval's relation this equals
-     * the squared L2 norm of the original signal.
-     */
-    double energy() const;
-};
 
 /**
  * Discrete wavelet transform engine for a fixed basis.
@@ -71,8 +40,7 @@ class Dwt
      * Forward transform into caller-owned storage. @p out is re-laid
      * out for the signal and @p ws supplies the inter-level scratch;
      * once both have reached capacity the call performs no heap
-     * allocation. Produces bit-identical coefficients to the legacy
-     * allocating overload.
+     * allocation.
      *
      * @param signal input samples; length must be divisible by 2^levels
      * @param levels number of decomposition levels (>= 1)
@@ -80,27 +48,13 @@ class Dwt
     void forward(std::span<const double> signal, std::size_t levels,
                  FlatDecomposition &out, DwtWorkspace &ws) const;
 
-    /**
-     * Inverse transform into caller-owned storage. @p out must have
-     * exactly dec.signalLength() samples.
-     */
-    void inverse(const FlatDecomposition &dec, std::span<double> out,
-                 DwtWorkspace &ws) const;
+    /** Forward transform, value form (cold paths, reporting). */
+    FlatDecomposition forward(std::span<const double> signal,
+                              std::size_t levels) const;
 
-    /**
-     * Forward transform, allocating form: a thin adapter over the
-     * span-based pyramid kept for tests, benches, and cold paths.
-     *
-     * @param signal input samples; length must be divisible by 2^levels
-     * @param levels number of decomposition levels (>= 1)
-     * @return the multi-level decomposition
-     */
-    WaveletDecomposition forward(std::span<const double> signal,
-                                 std::size_t levels) const;
-
-    /** Inverse transform, allocating form (thin adapter): exact
-     *  reconstruction of the original signal. */
-    std::vector<double> inverse(const WaveletDecomposition &dec) const;
+    /** Inverse transform: exact reconstruction of the original
+     *  signal from a dyadic decomposition. */
+    std::vector<double> inverse(const FlatDecomposition &dec) const;
 
     /**
      * Single analysis step into caller storage: split @p input into
@@ -113,14 +67,6 @@ class Dwt
                      std::span<double> detail) const;
 
     /**
-     * Single analysis step, allocating form: resizes @p approx and
-     * @p detail to half the input length.
-     */
-    void analyzeStep(std::span<const double> input,
-                     std::vector<double> &approx,
-                     std::vector<double> &detail) const;
-
-    /**
      * Single synthesis step into caller storage: merge approximation
      * and detail halves into @p out, which must hold twice their
      * length and must not alias either input.
@@ -128,13 +74,6 @@ class Dwt
     void synthesizeStep(std::span<const double> approx,
                         std::span<const double> detail,
                         std::span<double> out) const;
-
-    /**
-     * Single synthesis step, allocating form: merge approximation and
-     * detail halves back into a signal of twice the length.
-     */
-    std::vector<double> synthesizeStep(std::span<const double> approx,
-                                       std::span<const double> detail) const;
 
     /**
      * Largest number of levels applicable to a signal of length @p n

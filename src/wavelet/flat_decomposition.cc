@@ -1,9 +1,6 @@
 #include "wavelet/flat_decomposition.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
-#include "wavelet/dwt.hh"
 
 namespace didt
 {
@@ -104,45 +101,6 @@ FlatDecomposition::layoutUniform(std::size_t signal_length,
     for (std::size_t j = 0; j < levels + 2; ++j)
         offsets_[j] = j * signal_length;
     coeffs_.resize(offsets_[levels + 1]);
-}
-
-WaveletDecomposition
-FlatDecomposition::toNested() const
-{
-    WaveletDecomposition nested;
-    nested.signalLength = signalLength_;
-    nested.details.reserve(levels());
-    for (std::size_t j = 0; j < levels(); ++j) {
-        const auto d = detail(j);
-        nested.details.emplace_back(d.begin(), d.end());
-    }
-    const auto a = approximation();
-    nested.approximation.assign(a.begin(), a.end());
-    return nested;
-}
-
-void
-FlatDecomposition::assignFrom(const WaveletDecomposition &nested)
-{
-    if (nested.details.empty())
-        didt_panic("FlatDecomposition::assignFrom empty decomposition");
-
-    signalLength_ = nested.signalLength;
-    const std::size_t levels = nested.details.size();
-    offsets_.resize(levels + 2);
-    std::size_t off = 0;
-    for (std::size_t j = 0; j < levels; ++j) {
-        offsets_[j] = off;
-        off += nested.details[j].size();
-    }
-    offsets_[levels] = off;
-    offsets_[levels + 1] = off + nested.approximation.size();
-    coeffs_.resize(offsets_[levels + 1]);
-    for (std::size_t j = 0; j < levels; ++j)
-        std::copy(nested.details[j].begin(), nested.details[j].end(),
-                  coeffs_.begin() + static_cast<long>(offsets_[j]));
-    std::copy(nested.approximation.begin(), nested.approximation.end(),
-              coeffs_.begin() + static_cast<long>(offsets_[levels]));
 }
 
 } // namespace didt

@@ -1,17 +1,14 @@
 /**
  * @file
- * Flat single-buffer wavelet coefficient storage and reusable
- * transform scratch.
+ * Wavelet coefficient storage and reusable transform scratch.
  *
- * The legacy WaveletDecomposition keeps one std::vector per level,
- * which costs a heap allocation per level per transform — millions of
- * transient allocations across a characterization sweep that serialize
- * worker threads on the allocator. FlatDecomposition stores the whole
- * coefficient matrix in one contiguous buffer with per-level offsets
- * and hands out std::span views, so a decomposition can be recomputed
- * in place window after window without touching the allocator once
- * the buffers reach steady-state capacity. DwtWorkspace bundles the
- * ping/pong scratch the pyramid algorithms need between levels.
+ * FlatDecomposition is the one representation of the wavelet
+ * coefficient matrix (paper Section 2.1, Figure 2): the whole matrix
+ * lives in one contiguous buffer with per-level offsets and hands out
+ * std::span row views, so a decomposition can be recomputed in place
+ * window after window without touching the allocator once the buffer
+ * reaches steady-state capacity. DwtWorkspace bundles the ping/pong
+ * scratch the pyramid needs between levels.
  *
  * Workspaces and decompositions are plain value types with no internal
  * synchronization: each is meant to be owned by exactly one thread
@@ -28,13 +25,11 @@
 namespace didt
 {
 
-struct WaveletDecomposition;
-
 /**
  * A multi-level wavelet decomposition in one contiguous buffer.
  *
- * Layout: detail levels finest first (matching WaveletDecomposition's
- * level numbering), then the approximation row:
+ * Layout: detail levels finest first (detail(0) is the paper's
+ * d[0,k] row), then the approximation row:
  *
  *     [ d0 ... | d1 ... | ... | d(L-1) ... | approx ... ]
  *
@@ -93,12 +88,6 @@ class FlatDecomposition
      */
     void layoutUniform(std::size_t signal_length, std::size_t levels);
 
-    /** Copy into the legacy vector-of-vectors representation. */
-    WaveletDecomposition toNested() const;
-
-    /** Adopt the layout and coefficients of a legacy decomposition. */
-    void assignFrom(const WaveletDecomposition &nested);
-
   private:
     std::vector<double> coeffs_;
     std::vector<std::size_t> offsets_; ///< levels + 2 entries when laid out
@@ -109,22 +98,16 @@ class FlatDecomposition
 };
 
 /**
- * Reusable scratch for the pyramid transforms (Dwt, Modwt, subband
- * projection). Buffers grow to the high-water mark of the signals they
- * process and are then reused allocation-free. Owned by one thread at
- * a time; never shared concurrently.
+ * Reusable scratch for Dwt::forward. Buffers grow to the high-water
+ * mark of the signals they process and are then reused
+ * allocation-free. Owned by one thread at a time; never shared
+ * concurrently.
  */
 struct DwtWorkspace
 {
     /** Ping/pong buffers for the per-level approximation chain. */
     std::vector<double> ping;
     std::vector<double> pong;
-
-    /** Extra row buffer (e.g. MODWT detail reduction). */
-    std::vector<double> extra;
-
-    /** Scratch decomposition for masked reconstructions (subbands). */
-    FlatDecomposition masked;
 };
 
 } // namespace didt

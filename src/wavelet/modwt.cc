@@ -53,6 +53,23 @@ modwtStep(std::span<const double> current, std::size_t stride,
                                   detail.data());
 }
 
+/**
+ * Reject a pyramid too deep for an @p n-sample signal: the upsampled
+ * filter span must fit the (periodic) signal to make statistical
+ * sense.
+ */
+void
+checkDepth(std::size_t n, std::size_t levels, std::size_t flen)
+{
+    if (n == 0)
+        didt_panic("Modwt::forward on empty signal");
+    if (levels == 0)
+        didt_panic("Modwt::forward requires at least one level");
+    if ((std::size_t(1) << (levels - 1)) * (flen - 1) >= n)
+        didt_fatal("MODWT depth ", levels, " too deep for signal length ",
+                   n);
+}
+
 } // namespace
 
 Modwt::Modwt(WaveletBasis basis)
@@ -67,68 +84,39 @@ Modwt::Modwt(WaveletBasis basis)
         g_.push_back(c * scale);
 }
 
-void
-Modwt::forward(std::span<const double> signal, std::size_t levels,
-               FlatDecomposition &out, DwtWorkspace &ws) const
-{
-    const std::size_t n = signal.size();
-    if (n == 0)
-        didt_panic("Modwt::forward on empty signal");
-    if (levels == 0)
-        didt_panic("Modwt::forward requires at least one level");
-    // Upsampled filter span must fit the (periodic) signal to make
-    // statistical sense.
-    if ((std::size_t(1) << (levels - 1)) * (h_.size() - 1) >= n)
-        didt_fatal("MODWT depth ", levels, " too deep for signal length ",
-                   n);
-
-    out.layoutUniform(n, levels);
-    ws.ping.resize(n);
-    ws.pong.resize(n);
-    std::copy(signal.begin(), signal.end(), ws.ping.begin());
-
-    double *current = ws.ping.data();
-    double *next = ws.pong.data();
-    for (std::size_t j = 1; j <= levels; ++j) {
-        const std::size_t stride = std::size_t(1) << (j - 1);
-        modwtStep(std::span<const double>(current, n), stride, h_, g_,
-                  std::span<double>(next, n), out.detail(j - 1));
-        std::swap(current, next);
-    }
-    const std::span<double> smooth = out.approximation();
-    std::copy(current, current + n, smooth.begin());
-}
-
-ModwtDecomposition
+FlatDecomposition
 Modwt::forward(std::span<const double> signal, std::size_t levels) const
 {
-    DwtWorkspace ws;
-    FlatDecomposition flat;
-    forward(signal, levels, flat, ws);
+    const std::size_t n = signal.size();
+    checkDepth(n, levels, h_.size());
 
-    ModwtDecomposition dec;
-    dec.details.reserve(levels);
-    for (std::size_t j = 0; j < levels; ++j) {
-        const auto d = flat.detail(j);
-        dec.details.emplace_back(d.begin(), d.end());
+    FlatDecomposition out;
+    out.layoutUniform(n, levels);
+    std::vector<double> current(signal.begin(), signal.end());
+    std::vector<double> next(n);
+    for (std::size_t j = 1; j <= levels; ++j) {
+        const std::size_t stride = std::size_t(1) << (j - 1);
+        modwtStep(current, stride, h_, g_, next, out.detail(j - 1));
+        current.swap(next);
     }
-    const auto s = flat.approximation();
-    dec.smooth.assign(s.begin(), s.end());
-    return dec;
+    const std::span<double> smooth = out.approximation();
+    std::copy(current.begin(), current.end(), smooth.begin());
+    return out;
 }
 
 std::vector<double>
-Modwt::inverse(const ModwtDecomposition &dec) const
+Modwt::inverse(const FlatDecomposition &dec) const
 {
-    if (dec.details.empty())
+    if (dec.levels() == 0)
         didt_panic("Modwt::inverse on empty decomposition");
-    const std::size_t n = dec.smooth.size();
+    const std::span<const double> smooth = dec.approximation();
+    const std::size_t n = smooth.size();
 
-    std::vector<double> current = dec.smooth;
+    std::vector<double> current(smooth.begin(), smooth.end());
     std::vector<double> prev(n);
-    for (std::size_t j = dec.details.size(); j >= 1; --j) {
+    for (std::size_t j = dec.levels(); j >= 1; --j) {
         const std::size_t stride = std::size_t(1) << (j - 1);
-        const std::vector<double> &detail = dec.details[j - 1];
+        const std::span<const double> detail = dec.detail(j - 1);
         if (detail.size() != n)
             didt_panic("MODWT level size mismatch");
         for (std::size_t t = 0; t < n; ++t) {
@@ -146,56 +134,27 @@ Modwt::inverse(const ModwtDecomposition &dec) const
     return current;
 }
 
-void
-Modwt::waveletVariance(std::span<const double> signal, std::size_t levels,
-                       std::span<double> out, DwtWorkspace &ws) const
-{
-    if (out.size() != levels)
-        didt_panic("waveletVariance output must hold ", levels,
-                   " values, got ", out.size());
-    const std::size_t n = signal.size();
-    if (n == 0)
-        didt_panic("Modwt::forward on empty signal");
-    if (levels == 0)
-        didt_panic("Modwt::forward requires at least one level");
-    if ((std::size_t(1) << (levels - 1)) * (h_.size() - 1) >= n)
-        didt_fatal("MODWT depth ", levels, " too deep for signal length ",
-                   n);
-
-    // Reduce each detail row to its energy as it is produced, so only
-    // three signal-length rows of scratch are ever live.
-    ws.ping.resize(n);
-    ws.pong.resize(n);
-    ws.extra.resize(n);
-    std::copy(signal.begin(), signal.end(), ws.ping.begin());
-
-    double *current = ws.ping.data();
-    double *next = ws.pong.data();
-    const std::span<double> detail(ws.extra.data(), n);
-    for (std::size_t j = 1; j <= levels; ++j) {
-        const std::size_t stride = std::size_t(1) << (j - 1);
-        modwtStep(std::span<const double>(current, n), stride, h_, g_,
-                  std::span<double>(next, n), detail);
-        double energy = 0.0;
-        for (double w : detail)
-            energy += w * w;
-        out[j - 1] = energy / static_cast<double>(n);
-        std::swap(current, next);
-    }
-}
-
 std::vector<double>
 Modwt::waveletVariance(std::span<const double> signal,
                        std::size_t levels) const
 {
-    const ModwtDecomposition dec = forward(signal, levels);
-    std::vector<double> variance(levels, 0.0);
-    const double n = static_cast<double>(signal.size());
-    for (std::size_t j = 0; j < levels; ++j) {
+    const std::size_t n = signal.size();
+    checkDepth(n, levels, h_.size());
+
+    // Reduce each detail row to its energy as it is produced, so only
+    // three signal-length rows are ever live.
+    std::vector<double> current(signal.begin(), signal.end());
+    std::vector<double> next(n);
+    std::vector<double> detail(n);
+    std::vector<double> variance(levels);
+    for (std::size_t j = 1; j <= levels; ++j) {
+        const std::size_t stride = std::size_t(1) << (j - 1);
+        modwtStep(current, stride, h_, g_, next, detail);
         double energy = 0.0;
-        for (double w : dec.details[j])
+        for (double w : detail)
             energy += w * w;
-        variance[j] = energy / n;
+        variance[j - 1] = energy / static_cast<double>(n);
+        current.swap(next);
     }
     return variance;
 }

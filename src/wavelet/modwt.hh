@@ -26,19 +26,6 @@
 namespace didt
 {
 
-/** An undecimated wavelet decomposition: every row has N samples. */
-struct ModwtDecomposition
-{
-    /** Detail coefficients per level, finest first; each size N. */
-    std::vector<std::vector<double>> details;
-
-    /** Scaling coefficients at the coarsest level; size N. */
-    std::vector<double> smooth;
-
-    /** Number of levels. */
-    std::size_t levels() const { return details.size(); }
-};
-
 /** MODWT engine for a fixed basis (periodic boundary handling). */
 class Modwt
 {
@@ -47,44 +34,29 @@ class Modwt
     explicit Modwt(WaveletBasis basis);
 
     /**
-     * Forward transform. Unlike the decimated DWT the signal length
-     * only needs to be >= the filter length (no divisibility
-     * requirement), but must be non-zero.
+     * Forward transform into the uniform flat layout: every row,
+     * including the smooth row exposed as approximation(), has
+     * signal-length coefficients. Unlike the decimated DWT the signal
+     * length has no divisibility requirement, but it must be non-zero
+     * and longer than the deepest upsampled filter span.
      */
-    ModwtDecomposition forward(std::span<const double> signal,
-                               std::size_t levels) const;
+    FlatDecomposition forward(std::span<const double> signal,
+                              std::size_t levels) const;
 
-    /**
-     * Forward transform into caller-owned storage (uniform flat
-     * layout: every row, including the smooth row exposed as
-     * approximation(), has signal-length coefficients). Allocation-
-     * free once @p out and @p ws have reached capacity; bit-identical
-     * to the allocating overload.
-     */
-    void forward(std::span<const double> signal, std::size_t levels,
-                 FlatDecomposition &out, DwtWorkspace &ws) const;
-
-    /** Inverse transform (exact reconstruction). */
-    std::vector<double> inverse(const ModwtDecomposition &dec) const;
+    /** Inverse transform of a uniform-layout decomposition (exact
+     *  reconstruction). */
+    std::vector<double> inverse(const FlatDecomposition &dec) const;
 
     /**
      * Per-scale wavelet variance: nu_j^2 = mean of squared level-j
      * MODWT detail coefficients (the biased-at-boundaries periodic
      * estimator of Percival; by the MODWT energy decomposition the
-     * levels plus smooth variance sum to the sample variance).
+     * levels plus smooth variance sum to the sample variance). Each
+     * detail row is reduced as it is produced, so the decomposition
+     * is never materialized.
      */
     std::vector<double> waveletVariance(std::span<const double> signal,
                                         std::size_t levels) const;
-
-    /**
-     * In-place wavelet variance: writes nu_j^2 into @p out (which must
-     * hold exactly @p levels values) without materializing the
-     * decomposition — detail rows are reduced level by level out of
-     * workspace scratch.
-     */
-    void waveletVariance(std::span<const double> signal,
-                         std::size_t levels, std::span<double> out,
-                         DwtWorkspace &ws) const;
 
     /** The basis in use (original, unscaled filters). */
     const WaveletBasis &basis() const { return basis_; }

@@ -11,7 +11,6 @@
 #define DIDT_WAVELET_SUBBAND_HH
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "wavelet/dwt.hh"
@@ -29,12 +28,12 @@ namespace didt
  *         contribution
  */
 std::vector<double> detailSubband(const Dwt &dwt,
-                                  const WaveletDecomposition &dec,
+                                  const FlatDecomposition &dec,
                                   std::size_t level);
 
 /** Project the approximation row back into the time domain. */
 std::vector<double> approximationSubband(const Dwt &dwt,
-                                         const WaveletDecomposition &dec);
+                                         const FlatDecomposition &dec);
 
 /**
  * All subbands of a decomposition: details (finest first) followed by
@@ -42,7 +41,7 @@ std::vector<double> approximationSubband(const Dwt &dwt,
  * signal (perfect reconstruction).
  */
 std::vector<std::vector<double>> allSubbands(const Dwt &dwt,
-                                             const WaveletDecomposition &dec);
+                                             const FlatDecomposition &dec);
 
 /**
  * Reconstruct keeping only the detail levels listed in @p keep_levels
@@ -51,28 +50,8 @@ std::vector<std::vector<double>> allSubbands(const Dwt &dwt,
  * ... we are effectively filtering the original signal."
  */
 std::vector<double> filteredReconstruction(
-    const Dwt &dwt, const WaveletDecomposition &dec,
+    const Dwt &dwt, const FlatDecomposition &dec,
     const std::vector<std::size_t> &keep_levels, bool keep_approximation);
-
-/**
- * In-place overloads on the flat layout: write the projection into
- * caller-owned @p out (which must hold dec.signalLength() samples),
- * using @p ws for the masked copy and pyramid scratch. Allocation-free
- * once the workspace has reached capacity.
- */
-void detailSubband(const Dwt &dwt, const FlatDecomposition &dec,
-                   std::size_t level, std::span<double> out,
-                   DwtWorkspace &ws);
-
-/** Flat-layout approximation projection into caller storage. */
-void approximationSubband(const Dwt &dwt, const FlatDecomposition &dec,
-                          std::span<double> out, DwtWorkspace &ws);
-
-/** Flat-layout subband filtering into caller storage. */
-void filteredReconstruction(const Dwt &dwt, const FlatDecomposition &dec,
-                            std::span<const std::size_t> keep_levels,
-                            bool keep_approximation, std::span<double> out,
-                            DwtWorkspace &ws);
 
 /**
  * Nominal frequency band of a detail level in cycles^-1, mapped to hertz

@@ -43,23 +43,6 @@ approximationVarianceOf(std::span<const double> approx, double n)
 
 } // namespace
 
-ScaleStats
-computeScaleStats(const WaveletDecomposition &dec)
-{
-    ScaleStats stats;
-    const double n = static_cast<double>(dec.signalLength);
-    if (n == 0.0)
-        didt_panic("computeScaleStats on empty decomposition");
-
-    stats.subbandVariance.reserve(dec.details.size());
-    stats.adjacentCorrelation.reserve(dec.details.size());
-    for (const auto &level : dec.details)
-        pushDetailStats(level, n, stats);
-    stats.approximationVariance =
-        approximationVarianceOf(dec.approximation, n);
-    return stats;
-}
-
 void
 computeScaleStats(const FlatDecomposition &dec, ScaleStats &out)
 {
@@ -77,17 +60,30 @@ computeScaleStats(const FlatDecomposition &dec, ScaleStats &out)
         approximationVarianceOf(dec.approximation(), n);
 }
 
-std::vector<CoefficientRef>
-rankCoefficients(const WaveletDecomposition &dec)
+ScaleStats
+computeScaleStats(const FlatDecomposition &dec)
 {
+    ScaleStats stats;
+    computeScaleStats(dec, stats);
+    return stats;
+}
+
+std::vector<CoefficientRef>
+rankCoefficients(const FlatDecomposition &dec)
+{
+    // Details finest first, then the approximation: the stable sort
+    // below breaks magnitude ties in this order.
     std::vector<CoefficientRef> refs;
     refs.reserve(dec.totalCoefficients());
-    for (std::size_t j = 0; j < dec.details.size(); ++j)
-        for (std::size_t k = 0; k < dec.details[j].size(); ++k)
-            refs.push_back(CoefficientRef{j, k, dec.details[j][k]});
-    for (std::size_t k = 0; k < dec.approximation.size(); ++k)
+    for (std::size_t j = 0; j < dec.levels(); ++j) {
+        const std::span<const double> row = dec.detail(j);
+        for (std::size_t k = 0; k < row.size(); ++k)
+            refs.push_back(CoefficientRef{j, k, row[k]});
+    }
+    const std::span<const double> approx = dec.approximation();
+    for (std::size_t k = 0; k < approx.size(); ++k)
         refs.push_back(CoefficientRef{CoefficientRef::kApproximation, k,
-                                      dec.approximation[k]});
+                                      approx[k]});
     std::stable_sort(refs.begin(), refs.end(),
                      [](const CoefficientRef &a, const CoefficientRef &b) {
                          return std::fabs(a.value) > std::fabs(b.value);
@@ -96,7 +92,7 @@ rankCoefficients(const WaveletDecomposition &dec)
 }
 
 double
-energyCaptured(const WaveletDecomposition &dec, std::size_t k)
+energyCaptured(const FlatDecomposition &dec, std::size_t k)
 {
     const double total = dec.energy();
     if (total <= 0.0)

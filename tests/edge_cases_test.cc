@@ -51,8 +51,8 @@ TEST(EdgeDwt, MinimalSignalOneLevel)
     const Dwt dwt(WaveletBasis::haar());
     const std::vector<double> x{3.0, 5.0};
     const auto dec = dwt.forward(x, 1);
-    EXPECT_NEAR(dec.approximation[0], 8.0 / std::sqrt(2.0), 1e-12);
-    EXPECT_NEAR(dec.details[0][0], -2.0 / std::sqrt(2.0), 1e-12);
+    EXPECT_NEAR(dec.approximation()[0], 8.0 / std::sqrt(2.0), 1e-12);
+    EXPECT_NEAR(dec.detail(0)[0], -2.0 / std::sqrt(2.0), 1e-12);
     const auto back = dwt.inverse(dec);
     EXPECT_NEAR(back[0], 3.0, 1e-12);
     EXPECT_NEAR(back[1], 5.0, 1e-12);
@@ -66,8 +66,8 @@ TEST(EdgeDwt, FullDepthLeavesOneApproximation)
     for (auto &v : x)
         v = rng.normal();
     const auto dec = dwt.forward(x, 6);
-    EXPECT_EQ(dec.approximation.size(), 1u);
-    EXPECT_EQ(dec.details.back().size(), 1u);
+    EXPECT_EQ(dec.approximation().size(), 1u);
+    EXPECT_EQ(dec.detail(dec.levels() - 1).size(), 1u);
 }
 
 TEST(EdgeDwt, NegativeSignalsRoundTrip)

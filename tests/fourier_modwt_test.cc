@@ -176,11 +176,8 @@ TEST_P(ModwtBasis, EnergyDecomposition)
     const auto x = randomSignal(256, 13);
     const auto dec = modwt.forward(x, 5);
     double energy = 0.0;
-    for (const auto &level : dec.details)
-        for (double w : level)
-            energy += w * w;
-    for (double v : dec.smooth)
-        energy += v * v;
+    for (double w : dec.coefficients())
+        energy += w * w;
     double direct = 0.0;
     for (double v : x)
         direct += v * v;
@@ -195,9 +192,9 @@ TEST(Modwt, EveryLevelKeepsFullLength)
     const Modwt modwt(WaveletBasis::haar());
     const auto x = randomSignal(300, 17);
     const auto dec = modwt.forward(x, 6);
-    for (const auto &level : dec.details)
-        EXPECT_EQ(level.size(), 300u);
-    EXPECT_EQ(dec.smooth.size(), 300u);
+    for (std::size_t j = 0; j < dec.levels(); ++j)
+        EXPECT_EQ(dec.detail(j).size(), 300u);
+    EXPECT_EQ(dec.approximation().size(), 300u);
 }
 
 TEST(Modwt, ShiftInvarianceOfWaveletVariance)
@@ -226,7 +223,7 @@ TEST(Modwt, WaveletVarianceSumsToSampleVariance)
     const auto x = randomSignal(512, 19, 40.0);
     const auto nu = modwt.waveletVariance(x, 7);
     const auto dec = modwt.forward(x, 7);
-    double smooth_var = variance(dec.smooth);
+    double smooth_var = variance(dec.approximation());
     double sum = smooth_var;
     for (double v : nu)
         sum += v;

@@ -1,13 +1,14 @@
 /**
  * @file
- * Equivalence guarantees for the zero-allocation refactor: the flat
- * coefficient layout and workspace-threaded analysis paths must be
- * bit-for-bit interchangeable with the legacy vector-of-vectors APIs,
- * and campaign results must stay byte-identical regardless of how many
- * workers (and therefore how many reused per-worker workspaces) run
- * the sweep. Everything here uses EXPECT_EQ on doubles on purpose:
- * the refactor preserves the exact floating-point accumulation order,
- * so approximate comparison would mask a regression.
+ * Equivalence guarantees for the zero-allocation analysis paths: a
+ * reused DwtWorkspace carries no state from one transform to the
+ * next, the workspace-threaded estimate and profileTrace forms are
+ * bit-for-bit interchangeable with their value forms, and campaign
+ * results stay byte-identical regardless of how many workers (and
+ * therefore how many reused per-worker workspaces) run the sweep.
+ * Everything here uses EXPECT_EQ on doubles on purpose: both forms run
+ * the same floating-point accumulation order, so approximate
+ * comparison would mask a regression.
  */
 
 #include <cstdint>
@@ -26,10 +27,6 @@
 #include "runner/trace_repository.hh"
 #include "util/rng.hh"
 #include "wavelet/dwt.hh"
-#include "wavelet/flat_decomposition.hh"
-#include "wavelet/modwt.hh"
-#include "wavelet/subband.hh"
-#include "wavelet/wavelet_stats.hh"
 
 namespace didt
 {
@@ -46,13 +43,6 @@ randomSignal(std::size_t n, std::uint64_t seed)
     return xs;
 }
 
-std::vector<WaveletBasis>
-allBases()
-{
-    return {WaveletBasis::haar(), WaveletBasis::daubechies4(),
-            WaveletBasis::daubechies6()};
-}
-
 SupplyNetwork
 testNetwork()
 {
@@ -64,68 +54,9 @@ testNetwork()
     return SupplyNetwork(cfg);
 }
 
-void
-expectSameDecomposition(const WaveletDecomposition &legacy,
-                        const FlatDecomposition &flat,
-                        const std::string &what)
-{
-    ASSERT_EQ(legacy.details.size(), flat.levels()) << what;
-    ASSERT_EQ(legacy.signalLength, flat.signalLength()) << what;
-    for (std::size_t j = 0; j < flat.levels(); ++j) {
-        const auto row = flat.detail(j);
-        ASSERT_EQ(legacy.details[j].size(), row.size()) << what;
-        for (std::size_t i = 0; i < row.size(); ++i)
-            EXPECT_EQ(legacy.details[j][i], row[i])
-                << what << ": detail level " << j << " index " << i;
-    }
-    const auto approx = flat.approximation();
-    ASSERT_EQ(legacy.approximation.size(), approx.size()) << what;
-    for (std::size_t i = 0; i < approx.size(); ++i)
-        EXPECT_EQ(legacy.approximation[i], approx[i])
-            << what << ": approximation index " << i;
-}
-
 // ---------------------------------------------------------------------------
-// DWT: flat vs legacy, every basis
+// DWT workspace reuse
 // ---------------------------------------------------------------------------
-
-TEST(RefactorDwt, FlatForwardMatchesLegacyBitForBit)
-{
-    for (const WaveletBasis &basis : allBases()) {
-        const Dwt dwt(basis);
-        const auto signal = randomSignal(256, 101 + basis.length());
-        const std::size_t levels = dwt.maxLevels(signal.size());
-        ASSERT_GE(levels, 3u);
-
-        const WaveletDecomposition legacy = dwt.forward(signal, levels);
-        FlatDecomposition flat;
-        DwtWorkspace ws;
-        dwt.forward(signal, levels, flat, ws);
-        expectSameDecomposition(legacy, flat, basis.name());
-    }
-}
-
-TEST(RefactorDwt, FlatInverseMatchesLegacyBitForBit)
-{
-    for (const WaveletBasis &basis : allBases()) {
-        const Dwt dwt(basis);
-        const auto signal = randomSignal(512, 202 + basis.length());
-        const std::size_t levels = dwt.maxLevels(signal.size());
-
-        const WaveletDecomposition legacy = dwt.forward(signal, levels);
-        const std::vector<double> legacy_back = dwt.inverse(legacy);
-
-        FlatDecomposition flat;
-        DwtWorkspace ws;
-        dwt.forward(signal, levels, flat, ws);
-        std::vector<double> flat_back(signal.size(), 0.0);
-        dwt.inverse(flat, flat_back, ws);
-
-        for (std::size_t i = 0; i < signal.size(); ++i)
-            EXPECT_EQ(legacy_back[i], flat_back[i])
-                << basis.name() << " index " << i;
-    }
-}
 
 TEST(RefactorDwt, ReusedWorkspaceIsStateless)
 {
@@ -151,141 +82,6 @@ TEST(RefactorDwt, ReusedWorkspaceIsStateless)
     const auto dirty = dirty_dec.coefficients();
     for (std::size_t i = 0; i < fresh.size(); ++i)
         EXPECT_EQ(fresh[i], dirty[i]) << "coefficient " << i;
-}
-
-TEST(RefactorDwt, NestedRoundTripPreservesBits)
-{
-    const Dwt dwt(WaveletBasis::daubechies6());
-    const auto signal = randomSignal(256, 9);
-    FlatDecomposition flat;
-    DwtWorkspace ws;
-    dwt.forward(signal, dwt.maxLevels(signal.size()), flat, ws);
-
-    FlatDecomposition copy;
-    copy.assignFrom(flat.toNested());
-    ASSERT_EQ(copy.totalCoefficients(), flat.totalCoefficients());
-    const auto a = flat.coefficients();
-    const auto b = copy.coefficients();
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i], b[i]) << "coefficient " << i;
-    EXPECT_EQ(flat.energy(), copy.energy());
-}
-
-// ---------------------------------------------------------------------------
-// MODWT
-// ---------------------------------------------------------------------------
-
-TEST(RefactorModwt, FlatForwardMatchesLegacyBitForBit)
-{
-    for (const WaveletBasis &basis : allBases()) {
-        const Modwt modwt(basis);
-        const auto signal = randomSignal(200, 303 + basis.length());
-        const std::size_t levels = 4;
-
-        const ModwtDecomposition legacy = modwt.forward(signal, levels);
-        FlatDecomposition flat;
-        DwtWorkspace ws;
-        modwt.forward(signal, levels, flat, ws);
-
-        ASSERT_EQ(legacy.levels(), flat.levels()) << basis.name();
-        for (std::size_t j = 0; j < levels; ++j) {
-            const auto row = flat.detail(j);
-            ASSERT_EQ(legacy.details[j].size(), row.size());
-            for (std::size_t i = 0; i < row.size(); ++i)
-                EXPECT_EQ(legacy.details[j][i], row[i])
-                    << basis.name() << " level " << j << " index " << i;
-        }
-        const auto smooth = flat.approximation();
-        ASSERT_EQ(legacy.smooth.size(), smooth.size());
-        for (std::size_t i = 0; i < smooth.size(); ++i)
-            EXPECT_EQ(legacy.smooth[i], smooth[i])
-                << basis.name() << " smooth index " << i;
-    }
-}
-
-TEST(RefactorModwt, InPlaceWaveletVarianceMatchesAllocating)
-{
-    const Modwt modwt(WaveletBasis::daubechies4());
-    const auto signal = randomSignal(300, 11);
-    const std::size_t levels = 5;
-
-    const std::vector<double> legacy =
-        modwt.waveletVariance(signal, levels);
-    std::vector<double> in_place(levels, -1.0);
-    DwtWorkspace ws;
-    modwt.waveletVariance(signal, levels, in_place, ws);
-
-    ASSERT_EQ(legacy.size(), in_place.size());
-    for (std::size_t j = 0; j < levels; ++j)
-        EXPECT_EQ(legacy[j], in_place[j]) << "level " << j;
-}
-
-// ---------------------------------------------------------------------------
-// Subband projections
-// ---------------------------------------------------------------------------
-
-TEST(RefactorSubband, FlatProjectionsMatchLegacyBitForBit)
-{
-    const Dwt dwt(WaveletBasis::daubechies4());
-    const auto signal = randomSignal(256, 12);
-    const std::size_t levels = dwt.maxLevels(signal.size());
-
-    const WaveletDecomposition legacy = dwt.forward(signal, levels);
-    FlatDecomposition flat;
-    DwtWorkspace ws;
-    dwt.forward(signal, levels, flat, ws);
-
-    std::vector<double> out(signal.size(), 0.0);
-    for (std::size_t j = 0; j < levels; ++j) {
-        const std::vector<double> want = detailSubband(dwt, legacy, j);
-        detailSubband(dwt, flat, j, out, ws);
-        for (std::size_t i = 0; i < out.size(); ++i)
-            EXPECT_EQ(want[i], out[i]) << "level " << j << " index " << i;
-    }
-
-    const std::vector<double> want_approx =
-        approximationSubband(dwt, legacy);
-    approximationSubband(dwt, flat, out, ws);
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(want_approx[i], out[i]) << "approx index " << i;
-
-    const std::vector<std::size_t> keep{1, 3};
-    const std::vector<double> want_filtered =
-        filteredReconstruction(dwt, legacy, keep, true);
-    filteredReconstruction(dwt, flat, keep, true, out, ws);
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(want_filtered[i], out[i]) << "filtered index " << i;
-}
-
-// ---------------------------------------------------------------------------
-// Scale statistics
-// ---------------------------------------------------------------------------
-
-TEST(RefactorStats, FlatScaleStatsMatchNestedBitForBit)
-{
-    const Dwt dwt(WaveletBasis::haar());
-    const auto signal = randomSignal(512, 13);
-    const std::size_t levels = dwt.maxLevels(signal.size());
-
-    const ScaleStats want =
-        computeScaleStats(dwt.forward(signal, levels));
-
-    FlatDecomposition flat;
-    DwtWorkspace ws;
-    dwt.forward(signal, levels, flat, ws);
-    ScaleStats got;
-    got.subbandVariance.assign(3, -7.0); // stale contents must be reset
-    computeScaleStats(flat, got);
-
-    ASSERT_EQ(want.subbandVariance.size(), got.subbandVariance.size());
-    ASSERT_EQ(want.adjacentCorrelation.size(),
-              got.adjacentCorrelation.size());
-    for (std::size_t j = 0; j < want.subbandVariance.size(); ++j) {
-        EXPECT_EQ(want.subbandVariance[j], got.subbandVariance[j]);
-        EXPECT_EQ(want.adjacentCorrelation[j],
-                  got.adjacentCorrelation[j]);
-    }
-    EXPECT_EQ(want.approximationVariance, got.approximationVariance);
 }
 
 // ---------------------------------------------------------------------------

@@ -340,6 +340,57 @@ TEST(Campaign, GenericCellFanOutPropagatesExceptions)
                  std::runtime_error);
 }
 
+TEST(Campaign, ValidateSpecRejectsOneBadSpecPerRule)
+{
+    std::string error;
+    ASSERT_TRUE(validateSpec(CampaignSpec{}, &error)) << error;
+
+    // Each case breaks exactly one rule of a default spec; the message
+    // names the spec field at fault.
+    const struct
+    {
+        const char *field;
+        void (*breakRule)(CampaignSpec &);
+    } cases[] = {
+        {"impedance_scales", [](CampaignSpec &s) { s.impedanceScales = {}; }},
+        {"impedance_scales",
+         [](CampaignSpec &s) { s.impedanceScales = {1.0, 0.0}; }},
+        {"window", [](CampaignSpec &s) { s.windowLength = 0; }},
+        {"levels", [](CampaignSpec &s) { s.levels = 0; }},
+        {"window", [](CampaignSpec &s) { s.levels = 9; }},
+        {"window", [](CampaignSpec &s) { s.levels = 64; }},
+        {"basis", [](CampaignSpec &s) { s.basis = "sym9"; }},
+        {"cores", [](CampaignSpec &s) { s.coreCounts = {0}; }},
+        {"cores", [](CampaignSpec &s) { s.coreCounts = {1, 1025}; }},
+        {"mixes",
+         [](CampaignSpec &s) {
+             s.profiles = {profileByName("gzip")};
+             s.mixes = {"mixed4"};
+         }},
+        {"l2_banks", [](CampaignSpec &s) { s.l2Banks = 0; }},
+        {"l2_banks", [](CampaignSpec &s) { s.l2Banks = 6; }},
+        {"sample_detail", [](CampaignSpec &s) { s.sampleSkip = 1000; }},
+        {"sample_warmup",
+         [](CampaignSpec &s) {
+             s.sampleDetail = 1000;
+             s.sampleSkip = 100;
+             s.sampleWarmup = 512;
+         }},
+        {"mc_draws", [](CampaignSpec &s) { s.mcDraws = 100001; }},
+        {"mc_sigma", [](CampaignSpec &s) { s.mcSigmaR = -0.1; }},
+        {"mc_sigma", [](CampaignSpec &s) { s.mcSigmaResonance = 1.5; }},
+        {"mc_sigma", [](CampaignSpec &s) { s.mcSigmaQ = 2.0; }},
+    };
+    for (const auto &c : cases) {
+        CampaignSpec spec;
+        c.breakRule(spec);
+        error.clear();
+        EXPECT_FALSE(validateSpec(spec, &error)) << c.field;
+        EXPECT_NE(error.find(c.field), std::string::npos)
+            << c.field << ": " << error;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // JSON
 // ---------------------------------------------------------------------------

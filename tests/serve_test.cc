@@ -660,6 +660,40 @@ TEST(Server, WindowNotDivisibleByTwoToTheLevelsIsABadRequest)
               "bad_request");
 }
 
+TEST(Server, WindowTooLongToCalibrateIsABadRequest)
+{
+    // A 65536-cycle window leaves fewer than 16 calibration windows.
+    // Calibration runs before any cell, outside the per-cell try: the
+    // request must get a typed error, and the failed fit must leave no
+    // model behind for the same key to trip over on a retry.
+    serve::ServerConfig config;
+    config.unixPath = testSocketPath("w64k");
+    config.jobs = 1;
+    serve::Server server(sharedSetup(), config);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    CampaignSpec spec = smallSpec();
+    spec.profiles = {profileByName("gzip")};
+    spec.impedanceScales = {1.0};
+    spec.windowLength = 65536;
+    spec.levels = 8;
+    for (const char *id : {"w64k-1", "w64k-2"}) {
+        const JsonValue response = parseResponse(callServer(
+            config.unixPath,
+            serve::characterizeRequestJson(id, campaignSpecToJson(spec))));
+        EXPECT_EQ(errorCode(response), "bad_request") << response.dump();
+    }
+    const JsonValue pong = parseResponse(
+        callServer(config.unixPath, serve::pingRequestJson("after")));
+    EXPECT_EQ(pong.find("type")->asString(), "pong");
+
+    const JsonValue ok = parseResponse(callServer(
+        config.unixPath, serve::characterizeRequestJson(
+                             "default", campaignSpecToJson(smallSpec()))));
+    EXPECT_EQ(ok.find("type")->asString(), "result") << ok.dump();
+}
+
 TEST(Server, TraceShorterThanOneWindowIsAFailedCell)
 {
     CampaignSpec spec = smallSpec();

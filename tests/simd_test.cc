@@ -3,10 +3,9 @@
  * The SIMD determinism contract: every dispatched kernel level
  * produces bit-for-bit the same results as the scalar reference, for
  * every basis, at lengths that are not multiples of the vector width;
- * the devirtualized block/chunked paths (monitor updateBlock, cosim
- * monomorphization, StreamingConvolver's two-segment ring walk) match
- * their per-cycle references exactly; and campaign JSON is
- * byte-identical whichever kernel level runs it.
+ * the block paths (monitor updateBlock, StreamingConvolver's
+ * two-segment ring walk) match their per-cycle references exactly; and
+ * campaign JSON is byte-identical whichever kernel level runs it.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/cosim.hh"
 #include "core/experiment.hh"
 #include "core/monitor.hh"
 #include "power/convolution.hh"
@@ -112,18 +110,18 @@ TEST(SimdEquivalence, DwtForwardBitIdentical)
             ASSERT_GE(levels, 1u);
 
             simd::forceLevel(simd::Level::Scalar);
-            const WaveletDecomposition ref = dwt.forward(x, levels);
+            const FlatDecomposition ref = dwt.forward(x, levels);
             for (simd::Level level : vectorLevels()) {
                 simd::forceLevel(level);
-                const WaveletDecomposition got = dwt.forward(x, levels);
-                ASSERT_EQ(got.details.size(), ref.details.size());
+                const FlatDecomposition got = dwt.forward(x, levels);
+                ASSERT_EQ(got.levels(), ref.levels());
                 const std::string what = std::string(name) + "/n=" +
                                          std::to_string(n) + "/" +
                                          simd::levelName(level);
-                for (std::size_t j = 0; j < ref.details.size(); ++j)
-                    expectBitEqual(got.details[j], ref.details[j],
+                for (std::size_t j = 0; j < ref.levels(); ++j)
+                    expectBitEqual(got.detail(j), ref.detail(j),
                                    what + "/detail" + std::to_string(j));
-                expectBitEqual(got.approximation, ref.approximation,
+                expectBitEqual(got.approximation(), ref.approximation(),
                                what + "/approx");
             }
         }
@@ -142,7 +140,7 @@ TEST(SimdEquivalence, DwtInverseAndSubbandsBitIdentical)
             ASSERT_GE(levels, 1u);
 
             simd::forceLevel(simd::Level::Scalar);
-            const WaveletDecomposition dec = dwt.forward(x, levels);
+            const FlatDecomposition dec = dwt.forward(x, levels);
             const std::vector<double> ref_inv = dwt.inverse(dec);
             const auto ref_sub = allSubbands(dwt, dec);
             for (simd::Level level : vectorLevels()) {
@@ -208,20 +206,21 @@ TEST(SimdEquivalence, ModwtForwardAndVarianceBitIdentical)
             const std::size_t levels = 3;
 
             simd::forceLevel(simd::Level::Scalar);
-            const ModwtDecomposition ref = modwt.forward(x, levels);
+            const FlatDecomposition ref = modwt.forward(x, levels);
             const std::vector<double> ref_var =
                 modwt.waveletVariance(x, levels);
             for (simd::Level level : vectorLevels()) {
                 simd::forceLevel(level);
-                const ModwtDecomposition got = modwt.forward(x, levels);
+                const FlatDecomposition got = modwt.forward(x, levels);
                 const std::string what = std::string(name) + "/n=" +
                                          std::to_string(n) + "/" +
                                          simd::levelName(level);
-                ASSERT_EQ(got.details.size(), ref.details.size());
-                for (std::size_t j = 0; j < ref.details.size(); ++j)
-                    expectBitEqual(got.details[j], ref.details[j],
+                ASSERT_EQ(got.levels(), ref.levels());
+                for (std::size_t j = 0; j < ref.levels(); ++j)
+                    expectBitEqual(got.detail(j), ref.detail(j),
                                    what + "/detail" + std::to_string(j));
-                expectBitEqual(got.smooth, ref.smooth, what + "/smooth");
+                expectBitEqual(got.approximation(), ref.approximation(),
+                               what + "/smooth");
                 expectBitEqual(modwt.waveletVariance(x, levels), ref_var,
                                what + "/variance");
             }
@@ -351,65 +350,6 @@ TEST(SimdEquivalence, MonitorUpdateBlockMatchesPerCycle)
     AnalogSensorMonitor ac(net, 4);
     check(ab, ac);
 }
-
-class CosimDevirtualization
-    : public ::testing::TestWithParam<ControlScheme>
-{
-};
-
-TEST_P(CosimDevirtualization, MatchesPerCycleVirtualLoop)
-{
-    const ExperimentSetup setup = makeStandardSetup();
-    const SupplyNetwork net = setup.makeNetwork(1.5);
-    VoltageVarianceModel model = makeCalibratedModel(setup, net);
-
-    CosimConfig cfg;
-    cfg.instructions = 12000;
-    cfg.scheme = GetParam();
-    cfg.control.tolerance = 0.020;
-    cfg.hazardModel = &model;
-
-    cfg.devirtualize = true;
-    const CosimResult fast = runClosedLoop(profileByName("gzip"),
-                                           setup.proc, setup.power, net,
-                                           cfg);
-    cfg.devirtualize = false;
-    const CosimResult ref = runClosedLoop(profileByName("gzip"),
-                                          setup.proc, setup.power, net,
-                                          cfg);
-
-    EXPECT_EQ(fast.cycles, ref.cycles);
-    EXPECT_EQ(fast.committed, ref.committed);
-    EXPECT_EQ(fast.lowFaults, ref.lowFaults);
-    EXPECT_EQ(fast.highFaults, ref.highFaults);
-    EXPECT_EQ(fast.controlCycles, ref.controlCycles);
-    EXPECT_EQ(fast.stallCycles, ref.stallCycles);
-    EXPECT_EQ(fast.noopCycles, ref.noopCycles);
-    EXPECT_EQ(fast.falsePositives, ref.falsePositives);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.minVoltage),
-              std::bit_cast<std::uint64_t>(ref.minVoltage));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.maxVoltage),
-              std::bit_cast<std::uint64_t>(ref.maxVoltage));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.meanCurrent),
-              std::bit_cast<std::uint64_t>(ref.meanCurrent));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.energyJ),
-              std::bit_cast<std::uint64_t>(ref.energyJ));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemes, CosimDevirtualization,
-    ::testing::Values(ControlScheme::None, ControlScheme::Wavelet,
-                      ControlScheme::FullConvolution,
-                      ControlScheme::AnalogSensor,
-                      ControlScheme::PipelineDamping,
-                      ControlScheme::AdaptiveWavelet),
-    [](const auto &info) {
-        std::string name = controlSchemeName(info.param);
-        for (char &c : name)
-            if (c == '-')
-                c = '_';
-        return name;
-    });
 
 TEST(SimdEquivalence, CampaignJsonByteIdenticalAcrossLevels)
 {

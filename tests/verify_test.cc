@@ -683,9 +683,7 @@ TEST(Oracle, EverySchemeMatchesItsPerCycleReference)
             scheme == ControlScheme::AdaptiveWavelet ? &hazard
                                                      : nullptr);
         EXPECT_TRUE(report.pass)
-            << report.scheme << ": devirtualized match="
-            << report.devirtualizedMatchesReference
-            << " committedAll=" << report.committedAll;
+            << report.scheme << ": committedAll=" << report.committedAll;
         EXPECT_EQ(report.scheme, controlSchemeName(scheme));
     }
 }

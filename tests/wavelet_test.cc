@@ -141,25 +141,25 @@ TEST(Dwt, PaperFigure3Example)
     // Haar basis. Level-1 details are (x0-x1)/sqrt2 etc.
     const Dwt dwt(WaveletBasis::haar());
     const std::vector<double> signal{2, 4, 2, 0, 2, 4, 2, 0};
-    const WaveletDecomposition dec = dwt.forward(signal, 2);
+    const FlatDecomposition dec = dwt.forward(signal, 2);
 
     const double r = 1.0 / std::sqrt(2.0);
-    ASSERT_EQ(dec.details.size(), 2u);
-    ASSERT_EQ(dec.details[0].size(), 4u);
-    EXPECT_NEAR(dec.details[0][0], (2 - 4) * r, 1e-12);
-    EXPECT_NEAR(dec.details[0][1], (2 - 0) * r, 1e-12);
-    EXPECT_NEAR(dec.details[0][2], (2 - 4) * r, 1e-12);
-    EXPECT_NEAR(dec.details[0][3], (2 - 0) * r, 1e-12);
+    ASSERT_EQ(dec.levels(), 2u);
+    ASSERT_EQ(dec.detail(0).size(), 4u);
+    EXPECT_NEAR(dec.detail(0)[0], (2 - 4) * r, 1e-12);
+    EXPECT_NEAR(dec.detail(0)[1], (2 - 0) * r, 1e-12);
+    EXPECT_NEAR(dec.detail(0)[2], (2 - 4) * r, 1e-12);
+    EXPECT_NEAR(dec.detail(0)[3], (2 - 0) * r, 1e-12);
 
     // Level 2: a1 = {6r, 2r, 6r, 2r}; d2 = (a1[0]-a1[1])/sqrt2 = 2.
-    ASSERT_EQ(dec.details[1].size(), 2u);
-    EXPECT_NEAR(dec.details[1][0], 2.0, 1e-12);
-    EXPECT_NEAR(dec.details[1][1], 2.0, 1e-12);
+    ASSERT_EQ(dec.detail(1).size(), 2u);
+    EXPECT_NEAR(dec.detail(1)[0], 2.0, 1e-12);
+    EXPECT_NEAR(dec.detail(1)[1], 2.0, 1e-12);
 
     // Approximation: block sums / 2 = {4, 4}.
-    ASSERT_EQ(dec.approximation.size(), 2u);
-    EXPECT_NEAR(dec.approximation[0], 4.0, 1e-12);
-    EXPECT_NEAR(dec.approximation[1], 4.0, 1e-12);
+    ASSERT_EQ(dec.approximation().size(), 2u);
+    EXPECT_NEAR(dec.approximation()[0], 4.0, 1e-12);
+    EXPECT_NEAR(dec.approximation()[1], 4.0, 1e-12);
 }
 
 struct DwtCase
@@ -212,7 +212,7 @@ TEST_P(DwtRoundTrip, CoefficientCountMatchesSignal)
     const auto signal = randomSignal(length, 9);
     const auto dec = dwt.forward(signal, levels);
     EXPECT_EQ(dec.totalCoefficients(), length);
-    EXPECT_EQ(dec.signalLength, length);
+    EXPECT_EQ(dec.signalLength(), length);
     EXPECT_EQ(dec.levels(), levels);
 }
 
@@ -229,11 +229,11 @@ TEST(Dwt, ConstantSignalHasZeroDetails)
     const Dwt dwt(WaveletBasis::haar());
     const std::vector<double> signal(64, 5.0);
     const auto dec = dwt.forward(signal, 4);
-    for (const auto &level : dec.details)
-        for (double d : level)
+    for (std::size_t j = 0; j < dec.levels(); ++j)
+        for (double d : dec.detail(j))
             EXPECT_NEAR(d, 0.0, 1e-12);
     // Approximation carries all the mass: a = 5 * 2^(levels/2).
-    for (double a : dec.approximation)
+    for (double a : dec.approximation())
         EXPECT_NEAR(a, 5.0 * 4.0, 1e-12);
 }
 
@@ -249,9 +249,9 @@ TEST(Dwt, Linearity)
     const auto db = dwt.forward(b, 3);
     const auto ds = dwt.forward(sum, 3);
     for (std::size_t j = 0; j < 3; ++j)
-        for (std::size_t k = 0; k < ds.details[j].size(); ++k)
-            EXPECT_NEAR(ds.details[j][k],
-                        2.0 * da.details[j][k] + 3.0 * db.details[j][k],
+        for (std::size_t k = 0; k < ds.detail(j).size(); ++k)
+            EXPECT_NEAR(ds.detail(j)[k],
+                        2.0 * da.detail(j)[k] + 3.0 * db.detail(j)[k],
                         1e-9);
 }
 
@@ -267,12 +267,13 @@ TEST(Dwt, AnalyzeSynthesizeStepRoundTrip)
 {
     const Dwt dwt(WaveletBasis::daubechies4());
     const auto signal = randomSignal(32, 5);
-    std::vector<double> approx;
-    std::vector<double> detail;
+    std::vector<double> approx(signal.size() / 2);
+    std::vector<double> detail(signal.size() / 2);
     dwt.analyzeStep(signal, approx, detail);
     ASSERT_EQ(approx.size(), 16u);
     ASSERT_EQ(detail.size(), 16u);
-    const auto back = dwt.synthesizeStep(approx, detail);
+    std::vector<double> back(signal.size());
+    dwt.synthesizeStep(approx, detail, back);
     for (std::size_t i = 0; i < signal.size(); ++i)
         EXPECT_NEAR(back[i], signal[i], 1e-10);
 }

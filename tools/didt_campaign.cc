@@ -23,6 +23,8 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,6 +75,24 @@ printMetricsReport(const obs::MetricsSnapshot &snapshot)
             break;
           }
         }
+    }
+}
+
+/**
+ * runCharacterizationCampaign for the CLI: a spec the library rejects
+ * as a whole (e.g. a window too long to calibrate) exits like any
+ * other bad option.
+ */
+CampaignResult
+runCampaign(const ExperimentSetup &setup, const CampaignSpec &spec,
+            TraceRepository &repo, std::size_t jobs,
+            const std::function<void(const CampaignCell &)> &on_cell = {})
+{
+    try {
+        return runCharacterizationCampaign(setup, spec, repo, jobs,
+                                           on_cell, &shutdownFlag());
+    } catch (const std::invalid_argument &e) {
+        didt_fatal(e.what());
     }
 }
 
@@ -175,8 +195,6 @@ main(int argc, char **argv)
         mixByName(name); // fatal on unknown names, with suggestions
         spec.mixes.push_back(name);
     }
-    if (!spec.mixes.empty() && !spec.profiles.empty())
-        didt_fatal("--benchmarks and --mix are mutually exclusive");
     for (const std::string &count : splitList(opts.get("cores"))) {
         std::size_t consumed = 0;
         unsigned long value = 0;
@@ -185,15 +203,13 @@ main(int argc, char **argv)
         } catch (const std::exception &) {
             consumed = 0;
         }
-        if (consumed != count.size() || value == 0 || value > 1024)
+        if (consumed != count.size())
             didt_fatal("--cores: bad chip size '" + count + "'");
         spec.coreCounts.push_back(static_cast<std::size_t>(value));
     }
     spec.l2Banks = static_cast<std::size_t>(opts.getInt("l2-banks"));
     spec.l2BankPenalty =
         static_cast<std::size_t>(opts.getInt("l2-bank-penalty"));
-    if (spec.l2Banks == 0 || (spec.l2Banks & (spec.l2Banks - 1)) != 0)
-        didt_fatal("--l2-banks must be a power of two");
     spec.impedanceScales.clear();
     for (const std::string &scale : splitList(opts.get("impedances"))) {
         std::size_t consumed = 0;
@@ -203,12 +219,10 @@ main(int argc, char **argv)
         } catch (const std::exception &) {
             consumed = 0;
         }
-        if (consumed != scale.size() || value <= 0.0)
+        if (consumed != scale.size())
             didt_fatal("--impedances: bad scale '" + scale + "'");
         spec.impedanceScales.push_back(value);
     }
-    if (spec.impedanceScales.empty())
-        didt_fatal("--impedances must name at least one scale");
     spec.windowLength = static_cast<std::size_t>(opts.getInt("window"));
     spec.levels = static_cast<std::size_t>(opts.getInt("levels"));
     spec.basis = opts.get("basis");
@@ -223,24 +237,15 @@ main(int argc, char **argv)
     spec.sampleSkip = static_cast<Cycle>(opts.getInt("sample-skip"));
     spec.sampleWarmup =
         static_cast<Cycle>(opts.getInt("sample-warmup"));
-    if (spec.isSampled()) {
-        if (spec.sampleDetail == 0)
-            didt_fatal("--sample-skip requires --sample-detail > 0");
-        if (spec.sampleWarmup > spec.sampleSkip)
-            didt_fatal("--sample-warmup must not exceed --sample-skip");
-    }
     spec.mcDraws = static_cast<std::size_t>(opts.getInt("mc-draws"));
     if (spec.isMonteCarlo()) {
         spec.mcSeed = static_cast<std::uint64_t>(opts.getInt("mc-seed"));
         spec.mcSigmaR = opts.getDouble("mc-sigma");
         spec.mcSigmaResonance = spec.mcSigmaR;
         spec.mcSigmaQ = opts.getDouble("mc-sigma-q");
-        if (spec.mcDraws > 100000)
-            didt_fatal("--mc-draws must not exceed 100000");
-        for (double sigma : {spec.mcSigmaR, spec.mcSigmaQ})
-            if (sigma < 0.0 || sigma > 1.0)
-                didt_fatal("--mc-sigma/--mc-sigma-q must be in [0, 1]");
     }
+    if (std::string error; !validateSpec(spec, &error))
+        didt_fatal(error);
     const std::vector<std::string> bases = splitList(opts.get("bases"));
     for (const std::string &name : bases)
         if (!WaveletBasis::isKnownName(name))
@@ -302,8 +307,8 @@ main(int argc, char **argv)
         for (const std::string &name : bases) {
             CampaignSpec ablated = spec;
             ablated.basis = name;
-            const CampaignResult result = runCharacterizationCampaign(
-                setup, ablated, repo, jobs, {}, &shutdownFlag());
+            const CampaignResult result =
+                runCampaign(setup, ablated, repo, jobs);
             double meas = 0.0;
             double est = 0.0;
             std::size_t completed = 0;
@@ -387,8 +392,8 @@ main(int argc, char **argv)
     // Graceful SIGINT/SIGTERM: the flag cancels not-yet-started cells
     // and the sinks below still flush whatever completed.
     installShutdownHandler();
-    const CampaignResult result = runCharacterizationCampaign(
-        setup, spec, repo, jobs, on_cell, &shutdownFlag());
+    const CampaignResult result =
+        runCampaign(setup, spec, repo, jobs, on_cell);
 
     double cell_ms_sum = 0.0;
     for (const CampaignCell &cell : result.cells)

@@ -176,12 +176,10 @@ specFromOptions(const Options &opts)
         } catch (const std::exception &) {
             consumed = 0;
         }
-        if (consumed != scale.size() || value <= 0.0)
+        if (consumed != scale.size())
             didt_fatal("--impedances: bad scale '" + scale + "'");
         spec.impedanceScales.push_back(value);
     }
-    if (spec.impedanceScales.empty())
-        didt_fatal("--impedances must name at least one scale");
     spec.windowLength = static_cast<std::size_t>(opts.getInt("window"));
     spec.levels = static_cast<std::size_t>(opts.getInt("levels"));
     spec.basis = opts.get("basis");
@@ -191,6 +189,8 @@ specFromOptions(const Options &opts)
     spec.instructions =
         static_cast<std::uint64_t>(opts.getInt("instructions"));
     spec.seed = static_cast<std::uint64_t>(opts.getInt("seed"));
+    if (std::string error; !validateSpec(spec, &error))
+        didt_fatal(error);
     return campaignSpecToJson(spec);
 }
 
