@@ -119,6 +119,18 @@ if [[ $TSAN_ONLY -eq 0 ]]; then
         exit 1
     fi
     echo "MC campaign JSON identical across jobs 1/4; MC-off bytes clean"
+    # Draw 0 computes its group's estimate unless it fails first; then
+    # the next draw does, and only the faulted cell may change.
+    MC_FAULT='campaign.cell=key:gzip@1@d0'
+    build-ci/tools/didt_campaign --jobs 1 "${MC_ARGS[@]}" \
+        --failpoints "$MC_FAULT" --json "$SMOKE_DIR/mc_fault_j1.json"
+    build-ci/tools/didt_campaign --jobs 4 "${MC_ARGS[@]}" \
+        --failpoints "$MC_FAULT" --json "$SMOKE_DIR/mc_fault_j4.json"
+    cmp "$SMOKE_DIR/mc_fault_j1.json" "$SMOKE_DIR/mc_fault_j4.json"
+    grep -q '"failed_cells": 1' "$SMOKE_DIR/mc_fault_j1.json"
+    grep -q 'injected fault (campaign.cell): gzip@1@d0' \
+        "$SMOKE_DIR/mc_fault_j1.json"
+    echo "MC campaign with a faulted estimating draw identical across jobs 1/4"
 
     echo "=== service byte-identity smoke (didt_serve / didt_client) ==="
     BUILD_DIR=build-ci scripts/serve_smoke.sh

@@ -1,13 +1,41 @@
 #include "core/emergency_estimator.hh"
 
+#include <cstdint>
 #include <stdexcept>
 
+#include "obs/metrics.hh"
 #include "obs/scoped_timer.hh"
 #include "stats/running_stats.hh"
-#include "util/simd.hh"
 
 namespace didt
 {
+
+namespace
+{
+
+/** Analysis work counters and per-half latencies (sidecar only). */
+struct AnalysisMetrics
+{
+    obs::Counter windows;
+    obs::Counter samplesFiltered;
+    obs::Histogram estimateMs;
+    obs::Histogram measureMs;
+};
+
+AnalysisMetrics &
+analysisMetrics()
+{
+    auto &registry = obs::MetricsRegistry::global();
+    static AnalysisMetrics metrics{
+        registry.counter("analysis.windows"),
+        registry.counter("analysis.samples_filtered"),
+        registry.histogram("analysis.estimate_ms"),
+        registry.histogram("analysis.measure_ms"),
+    };
+    return metrics;
+}
+
+} // namespace
 
 EmergencyProfile
 profileTrace(const CurrentTrace &trace, const SupplyNetwork &network,
@@ -26,18 +54,32 @@ profileTrace(const CurrentTrace &trace, const SupplyNetwork &network,
              Volt high_threshold, AnalysisWorkspace &ws,
              std::span<const std::size_t> use_levels, bool use_correlation)
 {
+    EmergencyProfile profile =
+        estimateEmergencies(trace, model, low_threshold, high_threshold,
+                            ws, use_levels, use_correlation);
+    measureEmergencies(trace, network, low_threshold, high_threshold,
+                       profile);
+    return profile;
+}
+
+EmergencyProfile
+estimateEmergencies(const CurrentTrace &trace,
+                    const VoltageVarianceModel &model, Volt low_threshold,
+                    Volt high_threshold, AnalysisWorkspace &ws,
+                    std::span<const std::size_t> use_levels,
+                    bool use_correlation)
+{
     const std::size_t window = model.windowLength();
     if (trace.size() < window)
         throw std::invalid_argument(
             "profileTrace: trace shorter than one window");
-    obs::ScopedTimer span("model.profile_trace", obs::Histogram{},
+    obs::ScopedTimer span("analysis.estimate", analysisMetrics().estimateMs,
                           nullptr, "core");
 
+    // Consecutive windows, each contributing its Gaussian tail
+    // probabilities (window-weighted average equals the predicted
+    // fraction of cycles).
     EmergencyProfile profile;
-
-    // Estimated side: consecutive windows, each contributing its
-    // Gaussian tail probabilities (window-weighted average equals the
-    // predicted fraction of cycles).
     RunningStats est_below;
     RunningStats est_above;
     RunningStats est_var;
@@ -53,26 +95,37 @@ profileTrace(const CurrentTrace &trace, const SupplyNetwork &network,
     profile.estimatedBelow = est_below.mean();
     profile.estimatedAbove = est_above.mean();
     profile.estimatedVariance = est_var.mean();
+    analysisMetrics().windows.add(profile.windows);
+    return profile;
+}
 
-    // Measured side: exact convolution through the network. Threshold
-    // counts are order-independent integers, so they go through the
-    // SIMD kernel; the Welford variance recurrence is a sequential
-    // reduction and stays scalar to keep its rounding exact.
-    network.computeVoltageInto(trace, ws.voltage);
+void
+measureEmergencies(const CurrentTrace &trace, const SupplyNetwork &network,
+                   Volt low_threshold, Volt high_threshold,
+                   EmergencyProfile &profile)
+{
+    obs::ScopedTimer span("analysis.measure", analysisMetrics().measureMs,
+                          nullptr, "core");
+
+    // Exact convolution through the network, one streaming pass that
+    // stores nothing. The threshold counts are order-independent
+    // integers (a NaN counts for neither side), and the Welford
+    // recurrence sees the samples in trace order.
     std::uint64_t below = 0;
     std::uint64_t above = 0;
-    simd::kernels().thresholdCounts(ws.voltage.data(), ws.voltage.size(),
-                                    low_threshold, high_threshold, &below,
-                                    &above);
     RunningStats v_stats;
-    for (Volt v : ws.voltage)
+    network.forEachVoltage(trace, [&](Volt v) {
+        if (v < low_threshold)
+            ++below;
+        if (v > high_threshold)
+            ++above;
         v_stats.push(v);
-    profile.measuredBelow =
-        static_cast<double>(below) / static_cast<double>(ws.voltage.size());
-    profile.measuredAbove =
-        static_cast<double>(above) / static_cast<double>(ws.voltage.size());
+    });
+    const double samples = static_cast<double>(trace.size());
+    profile.measuredBelow = static_cast<double>(below) / samples;
+    profile.measuredAbove = static_cast<double>(above) / samples;
     profile.measuredVariance = v_stats.variance();
-    return profile;
+    analysisMetrics().samplesFiltered.add(trace.size());
 }
 
 } // namespace didt

@@ -67,11 +67,11 @@ EmergencyProfile profileTrace(const CurrentTrace &trace,
                               bool use_correlation = true);
 
 /**
- * Workspace overload: all per-window and full-trace intermediates
- * (decomposition, estimate, voltage trace) live in @p ws, so profiling
- * many traces with one workspace per thread runs allocation-free after
- * warm-up. Bit-identical results to the allocating overload (which is
- * a thin adapter over this one).
+ * Workspace overload: the per-window intermediates (decomposition,
+ * estimate) live in @p ws, so profiling many traces with one workspace
+ * per thread runs allocation-free after warm-up. Bit-identical results
+ * to the allocating overload (which is a thin adapter over this one).
+ * Both overloads are estimateEmergencies, then measureEmergencies.
  */
 EmergencyProfile profileTrace(const CurrentTrace &trace,
                               const SupplyNetwork &network,
@@ -80,6 +80,31 @@ EmergencyProfile profileTrace(const CurrentTrace &trace,
                               AnalysisWorkspace &ws,
                               std::span<const std::size_t> use_levels = {},
                               bool use_correlation = true);
+
+/**
+ * The estimate side of profileTrace: fills estimatedBelow,
+ * estimatedAbove, estimatedVariance and windows, and leaves the
+ * measured fields zero. It reads only the trace and the model, so one
+ * call serves every network the trace is measured against.
+ *
+ * @throws std::invalid_argument if the trace is shorter than one
+ *         model window
+ */
+EmergencyProfile
+estimateEmergencies(const CurrentTrace &trace,
+                    const VoltageVarianceModel &model, Volt low_threshold,
+                    Volt high_threshold, AnalysisWorkspace &ws,
+                    std::span<const std::size_t> use_levels = {},
+                    bool use_correlation = true);
+
+/**
+ * The measured side of profileTrace: one pass of @p trace through
+ * @p network that fills @p profile's measuredBelow, measuredAbove and
+ * measuredVariance, storing no voltage trace.
+ */
+void measureEmergencies(const CurrentTrace &trace,
+                        const SupplyNetwork &network, Volt low_threshold,
+                        Volt high_threshold, EmergencyProfile &profile);
 
 } // namespace didt
 

@@ -66,7 +66,9 @@ struct AnalysisWorkspace
     std::vector<char> selected; ///< detail-level selection mask
     std::vector<double> row;    ///< regression feature row
     CurrentTrace tiled;         ///< tiled calibration stimulus
-    VoltageTrace voltage;       ///< supply-network response scratch
+    /** Supply-network response of @c tiled in calibration. Trace
+     *  profiling streams its voltage and never fills this. */
+    VoltageTrace voltage;
 };
 
 /** The calibrated per-scale variance-gain model. */

@@ -130,26 +130,9 @@ void
 SupplyNetwork::computeVoltageInto(const CurrentTrace &current,
                                   VoltageTrace &voltage) const
 {
-    voltage.assign(current.size(), config_.nominalVoltage);
-    if (current.empty())
-        return;
-
-    const Biquad &bq = recursion_;
-
-    // Warm start at steady state for the initial current so the trace
-    // does not begin with an artificial step transient.
-    const double i0 = current[0];
-    double d1 = r_ * i0;
-    double d2 = d1;
-    double x1 = i0;
-    for (std::size_t n = 0; n < current.size(); ++n) {
-        const double x0 = current[n];
-        const double d0 = bq.b0 * x0 + bq.b1 * x1 + bq.a1 * d1 + bq.a2 * d2;
-        voltage[n] = config_.nominalVoltage - d0;
-        d2 = d1;
-        d1 = d0;
-        x1 = x0;
-    }
+    voltage.resize(current.size());
+    Volt *out = voltage.data();
+    forEachVoltage(current, [&out](Volt v) { *out++ = v; });
 }
 
 Volt

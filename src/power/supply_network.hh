@@ -125,6 +125,36 @@ class SupplyNetwork
     void computeVoltageInto(const CurrentTrace &current,
                             VoltageTrace &voltage) const;
 
+    /**
+     * The voltage trace of computeVoltage, streamed instead of stored:
+     * calls @p visit(Volt) once per cycle, in trace order, with exactly
+     * the value computeVoltage would store there. This is the one copy
+     * of the biquad recursion behind both.
+     */
+    template <class Visit>
+    void forEachVoltage(const CurrentTrace &current, Visit &&visit) const
+    {
+        if (current.empty())
+            return;
+        const Recursion bq = recursion_;
+        const Volt nominal = config_.nominalVoltage;
+
+        // Warm start at steady state for the initial current so the
+        // trace does not begin with an artificial step transient.
+        const double i0 = current[0];
+        double d1 = r_ * i0;
+        double d2 = d1;
+        double x1 = i0;
+        for (const double x0 : current) {
+            const double d0 =
+                bq.b0 * x0 + bq.b1 * x1 + bq.a1 * d1 + bq.a2 * d2;
+            visit(nominal - d0);
+            d2 = d1;
+            d1 = d0;
+            x1 = x0;
+        }
+    }
+
     /** Steady-state voltage at a constant current draw (IR drop). */
     Volt steadyStateVoltage(Amp current) const;
 

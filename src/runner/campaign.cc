@@ -44,9 +44,18 @@ validateSpec(const CampaignSpec &spec, std::string *error)
     if (spec.impedanceScales.empty())
         return fail("spec field 'impedance_scales' must not be empty");
     for (double scale : spec.impedanceScales)
-        if (!(scale > 0.0))
+        if (!(scale > 0.0 && std::isfinite(scale)))
             return fail("spec field 'impedance_scales' must hold "
-                        "positive numbers");
+                        "positive finite numbers");
+    // A non-finite threshold cannot be written to the result, and an
+    // inverted band counts every cycle both below and above.
+    if (!std::isfinite(spec.lowThreshold))
+        return fail("spec field 'low_threshold' must be finite");
+    if (!std::isfinite(spec.highThreshold))
+        return fail("spec field 'high_threshold' must be finite");
+    if (!(spec.lowThreshold < spec.highThreshold))
+        return fail("spec field 'low_threshold' must be below "
+                    "'high_threshold'");
     if (spec.windowLength == 0)
         return fail("spec field 'window' must be positive");
     // The variance model's rules: at least one level, and a window that
@@ -69,8 +78,12 @@ validateSpec(const CampaignSpec &spec, std::string *error)
     if (!spec.mixes.empty() && !spec.profiles.empty())
         return fail("spec fields 'benchmarks' and 'mixes' are "
                     "mutually exclusive");
-    if (spec.l2Banks == 0 || (spec.l2Banks & (spec.l2Banks - 1)) != 0)
-        return fail("spec field 'l2_banks' must be a power of two");
+    // Every bank allocates per-core state, so the count shares the
+    // cores ceiling.
+    if (spec.l2Banks == 0 || spec.l2Banks > 1024 ||
+        (spec.l2Banks & (spec.l2Banks - 1)) != 0)
+        return fail("spec field 'l2_banks' must be a power of two in "
+                    "[1, 1024]");
     if (spec.isSampled()) {
         if (spec.sampleDetail == 0)
             return fail("spec field 'sample_detail' must be positive "

@@ -296,10 +296,15 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
         models = calibratedScales(plan.spec);
     result.calibrationMillis = millisSince(campaign_start);
 
-    // Phase 3: the sweep itself. Cells are stored benchmark-major for
-    // reporting but submitted in the plan's scale-major order, so the
-    // first batch of tasks covers distinct benchmarks and primes the
-    // trace cache before the sharing cells queue up behind it.
+    // Phase 3: the sweep, one pool task per group: a (workload, cores,
+    // scale) with all of its Monte Carlo draws, or a single cell when
+    // MC is off. Every draw keeps the nominal trace and model, so the
+    // group's estimate is computed once and each draw adds only its
+    // measured side. Cells are stored benchmark-major for reporting
+    // (a group's draws contiguous), but groups go out in the plan's
+    // scale-major order of draw 0, so the first batch of tasks covers
+    // distinct workloads and primes the trace cache before the sharing
+    // groups queue up behind it.
     std::optional<obs::ScopedTimer> sweep_phase;
     sweep_phase.emplace("campaign.sweep", obs::Histogram{}, nullptr,
                         "campaign");
@@ -312,111 +317,119 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
     cell_labels.reserve(plan.workloadCount());
     for (std::size_t pi = 0; pi < plan.workloadCount(); ++pi)
         cell_labels.push_back("cell " + plan.workloadName(pi));
+    const std::size_t draws = plan.spec.drawCount();
     std::mutex progress_mutex;
     std::vector<std::future<void>> pending;
-    std::vector<std::size_t> pendingCell; // submission order -> cell
-    pending.reserve(plan.order.size());
-    pendingCell.reserve(plan.order.size());
-    for (const PlanCell &pc : plan.order) {
-        const std::size_t ci = plan.storageIndex(pc);
-        const std::size_t pi = pc.profileIndex;
-        const std::size_t si = pc.scaleIndex;
-        const std::size_t di = pc.drawIndex;
-        const std::size_t cores = coreCounts[pc.coreIndex];
-        // Identity fields are written on this thread before the task
-        // runs, so even a task that faults before touching its cell
-        // (e.g. an injected pool.task failure) leaves a fully
-        // identified failed cell behind.
-        CampaignCell &submitted = result.cells[ci];
-        submitted.benchmark = plan.workloadName(pi);
-        submitted.impedanceScale = scales[si];
-        submitted.cores = cores;
-        submitted.draw = di;
-        if (cancelled_early) {
-            submitted.failed = true;
-            submitted.error = "interrupted before evaluation";
-            campaignMetrics().cellsInterrupted.add(1);
+    std::vector<std::size_t> pendingGroup; // submission order -> draw 0
+    pending.reserve(plan.order.size() / draws);
+    pendingGroup.reserve(plan.order.size() / draws);
+    for (const PlanCell &head : plan.order) {
+        if (head.drawIndex != 0)
             continue;
-        }
-        pendingCell.push_back(ci);
-        pending.push_back(pool_.submit([&, ci, pi, si, di, cores] {
-            obs::ScopedTraceContext cell_scope(cell_context);
-            obs::ScopedTimer span(cell_labels[pi],
-                                  campaignMetrics().cellMs, nullptr,
-                                  "campaign");
-            campaignMetrics().cells.add(1);
-            const Clock::time_point cell_start = Clock::now();
-            CampaignCell &cell = result.cells[ci];
-            try {
-                if (hooks.cancel &&
-                    hooks.cancel->load(std::memory_order_relaxed)) {
-                    cell.failed = true;
-                    cell.error = "interrupted before evaluation";
-                    campaignMetrics().cellsInterrupted.add(1);
-                } else {
-                    const std::string key = cellKey(
-                        plan.workloadName(pi), scales[si], cores, di,
-                        plan.spec.isMonteCarlo());
-                    if (DIDT_FAILPOINT_KEYED("campaign.cell", key))
-                        throw std::runtime_error(
-                            "injected fault (campaign.cell): " + key);
-                    const TraceRequest request =
-                        cellTraceRequest(plan.spec, pi, cores);
-                    const std::shared_ptr<const CurrentTrace> trace =
-                        repo_.get(request, &deltas[ci]);
-                    const std::size_t wi = ThreadPool::workerIndex();
-                    AnalysisWorkspace &ws =
-                        workspaces_[wi == ThreadPool::kNotAWorker
-                                        ? pool_.size()
-                                        : wi];
-                    const CalibratedScale &cal = *models[si];
-                    EmergencyProfile ep;
-                    if (plan.spec.isMonteCarlo()) {
-                        // The draw perturbs the supply network only;
-                        // the trace and the calibrated variance model
-                        // stay nominal, so the per-draw spread
-                        // measures chip yield and model robustness
-                        // across process corners at once.
-                        SupplyNetworkConfig varied = drawSupplyConfig(
-                            setup_.supplyBase, plan.spec.variation(),
-                            deriveDrawSeed(plan.spec.mcSeed, di));
-                        varied.impedanceScale = scales[si];
-                        const SupplyNetwork drawn(varied);
-                        ep = profileTrace(*trace, drawn, *cal.model,
-                                          plan.spec.lowThreshold,
-                                          plan.spec.highThreshold, ws,
-                                          {},
-                                          plan.spec.useCorrelation);
-                    } else {
-                        ep = profileTrace(*trace, cal.network,
-                                          *cal.model,
-                                          plan.spec.lowThreshold,
-                                          plan.spec.highThreshold, ws,
-                                          {},
-                                          plan.spec.useCorrelation);
-                    }
-
-                    cell.traceCycles = trace->size();
-                    cell.windows = ep.windows;
-                    cell.estimatedBelowPct = 100.0 * ep.estimatedBelow;
-                    cell.measuredBelowPct = 100.0 * ep.measuredBelow;
-                    cell.estimatedAbovePct = 100.0 * ep.estimatedAbove;
-                    cell.measuredAbovePct = 100.0 * ep.measuredAbove;
-                    cell.estimatedVariance = ep.estimatedVariance;
-                    cell.measuredVariance = ep.measuredVariance;
-                }
-            } catch (const std::exception &e) {
-                // A faulting cell is a result, not an abort: the rest
-                // of the sweep keeps going and the failure lands in
-                // the result JSON.
-                cell.failed = true;
-                cell.error = e.what();
-                campaignMetrics().cellFailures.add(1);
+        const std::size_t first = plan.storageIndex(head);
+        const std::size_t pi = head.profileIndex;
+        const std::size_t si = head.scaleIndex;
+        const std::size_t cores = coreCounts[head.coreIndex];
+        // Identity fields are written on this thread before the task
+        // runs, so even a task that faults before touching its cells
+        // (e.g. an injected pool.task failure) leaves fully identified
+        // failed cells behind.
+        for (std::size_t di = 0; di < draws; ++di) {
+            CampaignCell &submitted = result.cells[first + di];
+            submitted.benchmark = plan.workloadName(pi);
+            submitted.impedanceScale = scales[si];
+            submitted.cores = cores;
+            submitted.draw = di;
+            if (cancelled_early) {
+                submitted.failed = true;
+                submitted.error = "interrupted before evaluation";
+                campaignMetrics().cellsInterrupted.add(1);
             }
-            cell.wallMillis = millisSince(cell_start);
-            if (hooks.onCell) {
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                hooks.onCell(cell);
+        }
+        if (cancelled_early)
+            continue;
+        pendingGroup.push_back(first);
+        pending.push_back(pool_.submit([&, first, pi, si, cores] {
+            obs::ScopedTraceContext cell_scope(cell_context);
+            const std::size_t wi = ThreadPool::workerIndex();
+            AnalysisWorkspace &ws =
+                workspaces_[wi == ThreadPool::kNotAWorker ? pool_.size()
+                                                          : wi];
+            const CalibratedScale &cal = *models[si];
+            // The first draw that gets its trace computes the estimate;
+            // a draw that fails before that leaves it to the next one.
+            std::optional<EmergencyProfile> estimate;
+            for (std::size_t di = 0; di < draws; ++di) {
+                const std::size_t ci = first + di;
+                obs::ScopedTimer span(cell_labels[pi],
+                                      campaignMetrics().cellMs, nullptr,
+                                      "campaign");
+                campaignMetrics().cells.add(1);
+                const Clock::time_point cell_start = Clock::now();
+                CampaignCell &cell = result.cells[ci];
+                try {
+                    if (hooks.cancel &&
+                        hooks.cancel->load(std::memory_order_relaxed)) {
+                        cell.failed = true;
+                        cell.error = "interrupted before evaluation";
+                        campaignMetrics().cellsInterrupted.add(1);
+                    } else {
+                        const std::string key = cellKey(
+                            plan.workloadName(pi), scales[si], cores, di,
+                            plan.spec.isMonteCarlo());
+                        if (DIDT_FAILPOINT_KEYED("campaign.cell", key))
+                            throw std::runtime_error(
+                                "injected fault (campaign.cell): " + key);
+                        const TraceRequest request =
+                            cellTraceRequest(plan.spec, pi, cores);
+                        const std::shared_ptr<const CurrentTrace> trace =
+                            repo_.get(request, &deltas[ci]);
+                        if (!estimate)
+                            estimate = estimateEmergencies(
+                                *trace, *cal.model, plan.spec.lowThreshold,
+                                plan.spec.highThreshold, ws, {},
+                                plan.spec.useCorrelation);
+                        // A draw perturbs the supply network only; the
+                        // trace and the calibrated variance model stay
+                        // nominal, so the per-draw spread measures
+                        // chip yield and model robustness across
+                        // process corners at once.
+                        std::optional<SupplyNetwork> drawn;
+                        if (plan.spec.isMonteCarlo()) {
+                            SupplyNetworkConfig varied = drawSupplyConfig(
+                                setup_.supplyBase, plan.spec.variation(),
+                                deriveDrawSeed(plan.spec.mcSeed, di));
+                            varied.impedanceScale = scales[si];
+                            drawn.emplace(varied);
+                        }
+                        EmergencyProfile ep = *estimate;
+                        measureEmergencies(
+                            *trace, drawn ? *drawn : cal.network,
+                            plan.spec.lowThreshold, plan.spec.highThreshold,
+                            ep);
+
+                        cell.traceCycles = trace->size();
+                        cell.windows = ep.windows;
+                        cell.estimatedBelowPct = 100.0 * ep.estimatedBelow;
+                        cell.measuredBelowPct = 100.0 * ep.measuredBelow;
+                        cell.estimatedAbovePct = 100.0 * ep.estimatedAbove;
+                        cell.measuredAbovePct = 100.0 * ep.measuredAbove;
+                        cell.estimatedVariance = ep.estimatedVariance;
+                        cell.measuredVariance = ep.measuredVariance;
+                    }
+                } catch (const std::exception &e) {
+                    // A faulting cell is a result, not an abort: the
+                    // rest of the sweep keeps going and the failure
+                    // lands in the result JSON.
+                    cell.failed = true;
+                    cell.error = e.what();
+                    campaignMetrics().cellFailures.add(1);
+                }
+                cell.wallMillis = millisSince(cell_start);
+                if (hooks.onCell) {
+                    std::lock_guard<std::mutex> lock(progress_mutex);
+                    hooks.onCell(cell);
+                }
             }
         }));
     }
@@ -426,14 +439,16 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
         try {
             pending[i].get();
         } catch (const std::exception &e) {
-            // The task itself faulted before the cell body's try block
-            // (an injected pool.task fault): record it against the
-            // right cell instead of aborting the campaign.
-            CampaignCell &cell = result.cells[pendingCell[i]];
-            if (!cell.failed) {
-                cell.failed = true;
-                cell.error = e.what();
-                campaignMetrics().cellFailures.add(1);
+            // The task itself faulted outside its cells' try blocks (an
+            // injected pool.task fault): record it against every cell
+            // of that group instead of aborting the campaign.
+            for (std::size_t di = 0; di < draws; ++di) {
+                CampaignCell &cell = result.cells[pendingGroup[i] + di];
+                if (!cell.failed) {
+                    cell.failed = true;
+                    cell.error = e.what();
+                    campaignMetrics().cellFailures.add(1);
+                }
             }
         }
     }

@@ -20,10 +20,12 @@
  * configuration calibrates each scale exactly once. Calibration is
  * deterministic, so a cached model is bit-identical to a fresh one.
  *
- * run() is safe to call from multiple threads; cells from concurrent
- * runs interleave on the shared pool. Each worker owns one workspace,
- * and a worker evaluates one cell at a time, so workspace reuse across
- * concurrent runs is race-free.
+ * run() is safe to call from multiple threads; tasks from concurrent
+ * runs interleave on the shared pool. A task evaluates one group: a
+ * (workload, cores, scale) with all of its Monte Carlo draws, or one
+ * cell when MC is off. Each worker owns one workspace and runs one
+ * task at a time, so workspace reuse across concurrent runs is
+ * race-free.
  */
 
 #ifndef DIDT_RUNNER_EXECUTOR_HH

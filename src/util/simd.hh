@@ -106,16 +106,6 @@ struct KernelTable
                            std::size_t klen, double *out);
 
     /**
-     * Count samples strictly below @p lo and strictly above @p hi
-     * (NaNs count for neither, matching scalar <
-     * and > comparisons). Integer counts are order-independent, so
-     * this is exact.
-     */
-    void (*thresholdCounts)(const double *v, std::size_t n, double lo,
-                            double hi, std::uint64_t *below,
-                            std::uint64_t *above);
-
-    /**
      * Histogram bin computation: bins[i] = floor((x[i] - lo) / width)
      * as a double (clamping to the bin range is the caller's job, kept
      * scalar so the final integer cast is shared with the reference).
@@ -223,18 +213,6 @@ struct VecScalar
     }
 
     static VecScalar floorv(VecScalar a) { return {std::floor(a.v)}; }
-
-    /** Bitmask of lanes where a < b (NaN compares false). */
-    static unsigned ltMask(VecScalar a, VecScalar b)
-    {
-        return a.v < b.v ? 1u : 0u;
-    }
-
-    /** Bitmask of lanes where a > b (NaN compares false). */
-    static unsigned gtMask(VecScalar a, VecScalar b)
-    {
-        return a.v > b.v ? 1u : 0u;
-    }
 };
 
 #if defined(__SSE2__)
@@ -287,18 +265,6 @@ struct VecSse2
         alignas(16) double lanes[2];
         _mm_store_pd(lanes, a.v);
         return {_mm_set_pd(std::floor(lanes[1]), std::floor(lanes[0]))};
-    }
-
-    static unsigned ltMask(VecSse2 a, VecSse2 b)
-    {
-        return static_cast<unsigned>(
-            _mm_movemask_pd(_mm_cmplt_pd(a.v, b.v)));
-    }
-
-    static unsigned gtMask(VecSse2 a, VecSse2 b)
-    {
-        return static_cast<unsigned>(
-            _mm_movemask_pd(_mm_cmpgt_pd(a.v, b.v)));
     }
 };
 #endif // __SSE2__
@@ -355,18 +321,6 @@ struct VecAvx2
     {
         return {_mm256_floor_pd(a.v)};
     }
-
-    static unsigned ltMask(VecAvx2 a, VecAvx2 b)
-    {
-        return static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)));
-    }
-
-    static unsigned gtMask(VecAvx2 a, VecAvx2 b)
-    {
-        return static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ)));
-    }
 };
 #endif // __AVX2__
 
@@ -413,20 +367,6 @@ struct VecNeon
     }
 
     static VecNeon floorv(VecNeon a) { return {vrndmq_f64(a.v)}; }
-
-    static unsigned ltMask(VecNeon a, VecNeon b)
-    {
-        const uint64x2_t m = vcltq_f64(a.v, b.v);
-        return static_cast<unsigned>((vgetq_lane_u64(m, 0) & 1u) |
-                                     ((vgetq_lane_u64(m, 1) & 1u) << 1));
-    }
-
-    static unsigned gtMask(VecNeon a, VecNeon b)
-    {
-        const uint64x2_t m = vcgtq_f64(a.v, b.v);
-        return static_cast<unsigned>((vgetq_lane_u64(m, 0) & 1u) |
-                                     ((vgetq_lane_u64(m, 1) & 1u) << 1));
-    }
 };
 #endif // __aarch64__ && __ARM_NEON
 

@@ -16,10 +16,8 @@
 #ifndef DIDT_UTIL_SIMD_KERNELS_IMPL_HH
 #define DIDT_UTIL_SIMD_KERNELS_IMPL_HH
 
-#include <bit>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 #include "util/simd.hh"
 
@@ -208,32 +206,6 @@ convolveSteadyImpl(const double *x, std::size_t start, std::size_t count,
 
 template <class V>
 void
-thresholdCountsImpl(const double *v, std::size_t n, double lo, double hi,
-                    std::uint64_t *below, std::uint64_t *above)
-{
-    constexpr std::size_t W = V::width;
-    const V vlo = V::set1(lo);
-    const V vhi = V::set1(hi);
-    std::uint64_t b = 0;
-    std::uint64_t a = 0;
-    std::size_t i = 0;
-    for (; i + W <= n; i += W) {
-        const V x = V::load(v + i);
-        b += static_cast<std::uint64_t>(std::popcount(V::ltMask(x, vlo)));
-        a += static_cast<std::uint64_t>(std::popcount(V::gtMask(x, vhi)));
-    }
-    for (; i < n; ++i) {
-        if (v[i] < lo)
-            ++b;
-        if (v[i] > hi)
-            ++a;
-    }
-    *below = b;
-    *above = a;
-}
-
-template <class V>
-void
 binIndicesImpl(const double *x, std::size_t n, double lo, double width,
                double *bins)
 {
@@ -292,7 +264,6 @@ makeKernelTable()
     t.dwtSynthesize = &dwtSynthesizeImpl<V>;
     t.modwtStep = &modwtStepImpl<V>;
     t.convolveSteady = &convolveSteadyImpl<V>;
-    t.thresholdCounts = &thresholdCountsImpl<V>;
     t.binIndices = &binIndicesImpl<V>;
     t.emaUpdate = &emaUpdateImpl<V>;
     t.gatedLinearIdle = &gatedLinearIdleImpl<V>;

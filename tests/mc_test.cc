@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
+#include "obs/metrics.hh"
 #include "power/variation.hh"
 #include "runner/campaign.hh"
 #include "runner/result_json.hh"
@@ -27,6 +28,7 @@
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "util/json.hh"
+#include "verify/failpoint.hh"
 #include "verify/oracle.hh"
 #include "workload/profile.hh"
 
@@ -254,6 +256,150 @@ TEST(McCampaign, SpecJsonRoundTripsMonteCarloFields)
                                      &parsed_off, &error))
         << error;
     EXPECT_FALSE(parsed_off.isMonteCarlo());
+}
+
+// ---------------------------------------------------------------------------
+// Group tasks: one estimate per (workload, cores, scale), per-cell faults
+// ---------------------------------------------------------------------------
+
+/** Every value field of two cells, bit for bit (wall time aside). */
+void
+expectSameCell(const CampaignCell &a, const CampaignCell &b)
+{
+    EXPECT_EQ(a.benchmark, b.benchmark);
+    EXPECT_EQ(a.impedanceScale, b.impedanceScale);
+    EXPECT_EQ(a.cores, b.cores);
+    EXPECT_EQ(a.draw, b.draw);
+    EXPECT_EQ(a.traceCycles, b.traceCycles);
+    EXPECT_EQ(a.windows, b.windows);
+    EXPECT_EQ(a.estimatedBelowPct, b.estimatedBelowPct);
+    EXPECT_EQ(a.measuredBelowPct, b.measuredBelowPct);
+    EXPECT_EQ(a.estimatedAbovePct, b.estimatedAbovePct);
+    EXPECT_EQ(a.measuredAbovePct, b.measuredAbovePct);
+    EXPECT_EQ(a.estimatedVariance, b.estimatedVariance);
+    EXPECT_EQ(a.measuredVariance, b.measuredVariance);
+    EXPECT_EQ(a.failed, b.failed);
+    EXPECT_EQ(a.error, b.error);
+}
+
+/** The campaign's analysis work counters, read as deltas over a run. */
+struct AnalysisWork
+{
+    std::uint64_t windows = 0;
+    std::uint64_t samplesFiltered = 0;
+};
+
+AnalysisWork
+analysisWorkOf(const CampaignSpec &spec, std::size_t jobs,
+               CampaignResult *result)
+{
+    obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
+    const obs::Counter windows = registry.counter("analysis.windows");
+    const obs::Counter samples =
+        registry.counter("analysis.samples_filtered");
+    const std::uint64_t windows0 = windows.total();
+    const std::uint64_t samples0 = samples.total();
+    *result = runFresh(spec, jobs);
+    return {windows.total() - windows0, samples.total() - samples0};
+}
+
+TEST(McCampaign, AnalysisCountersCountOneEstimatePerGroup)
+{
+    CampaignSpec spec = mcSpec();
+    spec.impedanceScales = {1.0, 1.2};
+    CampaignResult serial;
+    CampaignResult parallel;
+    const AnalysisWork one = analysisWorkOf(spec, 1, &serial);
+    const AnalysisWork four = analysisWorkOf(spec, 4, &parallel);
+    EXPECT_EQ(one.windows, four.windows);
+    EXPECT_EQ(one.samplesFiltered, four.samplesFiltered);
+
+    // Each group estimates its trace once; each draw filters it once.
+    std::uint64_t group_windows = 0;
+    std::uint64_t cell_windows = 0;
+    std::uint64_t cell_samples = 0;
+    for (const CampaignCell &cell : serial.cells) {
+        ASSERT_FALSE(cell.failed) << cell.error;
+        if (cell.draw == 0)
+            group_windows += cell.windows;
+        cell_windows += cell.windows;
+        cell_samples += cell.traceCycles;
+    }
+    EXPECT_EQ(one.windows, group_windows);
+    EXPECT_EQ(one.windows * spec.mcDraws, cell_windows);
+    EXPECT_EQ(one.samplesFiltered, cell_samples);
+}
+
+/** Failpoint tests start and end with a clean registry, and skip in a
+ *  build that compiles the injection sites out. */
+class McFaults : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+#ifdef DIDT_FAILPOINTS_OFF
+        GTEST_SKIP() << "built with -DDIDT_FAILPOINTS=OFF";
+#endif
+        verify::resetFailPoints();
+    }
+    void TearDown() override { verify::resetFailPoints(); }
+};
+
+TEST_F(McFaults, CellFaultOnTheEstimatingDrawFailsOnlyThatCell)
+{
+    // Draw 0 would compute its group's estimate; faulted, it leaves the
+    // estimate to draw 1, and no other cell may notice.
+    const CampaignSpec spec = mcSpec();
+    const CampaignResult clean = runFresh(spec, 1);
+    for (std::size_t jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        verify::armFailPoint("campaign.cell",
+                             verify::TriggerPolicy::keyEquals(
+                                 "gzip@" + jsonNumber(1.2) + "@d0"));
+        const CampaignResult faulted = runFresh(spec, jobs);
+        verify::resetFailPoints();
+        ASSERT_EQ(faulted.cells.size(), clean.cells.size());
+        EXPECT_EQ(faulted.failedCells(), 1u);
+        const CampaignCell &hit = faulted.cells[0];
+        EXPECT_EQ(hit.benchmark, "gzip");
+        EXPECT_EQ(hit.draw, 0u);
+        EXPECT_TRUE(hit.failed);
+        EXPECT_NE(hit.error.find("injected fault (campaign.cell)"),
+                  std::string::npos);
+        for (std::size_t i = 1; i < clean.cells.size(); ++i)
+            expectSameCell(faulted.cells[i], clean.cells[i]);
+    }
+}
+
+TEST_F(McFaults, PoolTaskFaultFailsEveryCellOfItsGroup)
+{
+    // At --jobs 1 every task evaluates pool.task exactly once, in
+    // submission order: the calibration builders, one calibration task
+    // per scale, then the sweep's groups. The first group task carries
+    // all of gzip's draws, so all of them fail and nothing else does.
+    const CampaignSpec spec = mcSpec();
+    const CampaignResult clean = runFresh(spec, 1);
+    const std::size_t warmup_tasks =
+        calibrationTraceBuilders(sharedSetup()).size() +
+        spec.impedanceScales.size();
+    verify::armFailPoint("pool.task",
+                         verify::TriggerPolicy::nthHit(warmup_tasks + 1));
+    const CampaignResult faulted = runFresh(spec, 1);
+    ASSERT_EQ(faulted.cells.size(), clean.cells.size());
+    EXPECT_EQ(faulted.failedCells(), spec.drawCount());
+    for (std::size_t i = 0; i < faulted.cells.size(); ++i) {
+        const CampaignCell &cell = faulted.cells[i];
+        if (i < spec.drawCount()) {
+            EXPECT_EQ(cell.benchmark, "gzip");
+            EXPECT_EQ(cell.draw, i);
+            EXPECT_TRUE(cell.failed);
+            EXPECT_NE(cell.error.find("injected fault (pool.task)"),
+                      std::string::npos)
+                << cell.error;
+        } else {
+            expectSameCell(cell, clean.cells[i]);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -355,6 +356,24 @@ TEST(Campaign, ValidateSpecRejectsOneBadSpecPerRule)
         {"impedance_scales", [](CampaignSpec &s) { s.impedanceScales = {}; }},
         {"impedance_scales",
          [](CampaignSpec &s) { s.impedanceScales = {1.0, 0.0}; }},
+        {"impedance_scales",
+         [](CampaignSpec &s) {
+             s.impedanceScales = {1.0,
+                                  std::numeric_limits<double>::infinity()};
+         }},
+        {"low_threshold",
+         [](CampaignSpec &s) {
+             s.lowThreshold = std::numeric_limits<double>::quiet_NaN();
+         }},
+        {"high_threshold",
+         [](CampaignSpec &s) {
+             s.highThreshold = std::numeric_limits<double>::infinity();
+         }},
+        {"low_threshold",
+         [](CampaignSpec &s) {
+             s.lowThreshold = 1.05;
+             s.highThreshold = 0.9;
+         }},
         {"window", [](CampaignSpec &s) { s.windowLength = 0; }},
         {"levels", [](CampaignSpec &s) { s.levels = 0; }},
         {"window", [](CampaignSpec &s) { s.levels = 9; }},
@@ -369,6 +388,7 @@ TEST(Campaign, ValidateSpecRejectsOneBadSpecPerRule)
          }},
         {"l2_banks", [](CampaignSpec &s) { s.l2Banks = 0; }},
         {"l2_banks", [](CampaignSpec &s) { s.l2Banks = 6; }},
+        {"l2_banks", [](CampaignSpec &s) { s.l2Banks = 2048; }},
         {"sample_detail", [](CampaignSpec &s) { s.sampleSkip = 1000; }},
         {"sample_warmup",
          [](CampaignSpec &s) {

@@ -248,33 +248,6 @@ TEST(SimdEquivalence, ConvolveIntoBitIdenticalAtEveryLength)
     }
 }
 
-TEST(SimdEquivalence, ThresholdCountsMatchScalarLoop)
-{
-    LevelGuard guard;
-    std::vector<double> v = noisySignal(1003, 31);
-    v[17] = std::numeric_limits<double>::quiet_NaN();
-    v[500] = -0.5; // exactly at the low threshold: not strictly below
-    const double lo = -0.5;
-    const double hi = 0.5;
-
-    std::uint64_t ref_below = 0;
-    std::uint64_t ref_above = 0;
-    for (double x : v) {
-        if (x < lo)
-            ++ref_below;
-        if (x > hi)
-            ++ref_above;
-    }
-    for (simd::Level level : vectorLevels()) {
-        std::uint64_t below = 0;
-        std::uint64_t above = 0;
-        simd::kernelsFor(level).thresholdCounts(v.data(), v.size(), lo, hi,
-                                                &below, &above);
-        EXPECT_EQ(below, ref_below) << simd::levelName(level);
-        EXPECT_EQ(above, ref_above) << simd::levelName(level);
-    }
-}
-
 TEST(SimdEquivalence, HistogramPushBlockMatchesPush)
 {
     LevelGuard guard;

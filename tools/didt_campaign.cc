@@ -113,7 +113,8 @@ main(int argc, char **argv)
     opts.declare("cores", "",
                  "comma-separated chip sizes to sweep (empty = 1)");
     opts.declare("l2-banks", "8",
-                 "shared-L2 banks for chip cells (power of two)");
+                 "shared-L2 banks for chip cells (power of two, at most "
+                 "1024)");
     opts.declare("l2-bank-penalty", "4",
                  "bank-conflict stall cycles for chip cells");
     opts.declare("impedances", "1.0,1.1,1.2,1.3,1.5",
