@@ -3,9 +3,11 @@
  * Tests for the Monte Carlo variation layer: determinism of the draw
  * seeding, byte identity of MC campaign JSON across worker counts and
  * across the batch/served paths, yield-curve shape invariants, spec
- * round-tripping of the mc_* fields, and the guarantee that an MC-off
+ * round-tripping of the mc_* fields, the guarantee that an MC-off
  * campaign emits exactly the pre-MC schema (no draw column, no
- * monte_carlo section, no mc_* spec members).
+ * monte_carlo section, no mc_* spec members), and the group task's
+ * contract: one estimate per (workload, cores, scale), failures per
+ * cell, and a pool.task fault failing its whole group.
  */
 
 #include <algorithm>
