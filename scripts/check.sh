@@ -36,6 +36,17 @@ if [[ $TSAN_ONLY -eq 0 ]]; then
     build-ci/tools/didt_metrics_check \
         --schema schemas/didt-metrics-v1.json \
         --input "$SMOKE_DIR/metrics.json"
+    # Every cell fails before its trace lookup, in a fresh process: the
+    # sidecar must still list every required metric, so they register
+    # when the repository and the executor are built, not on first use.
+    build-ci/tools/didt_campaign --benchmarks gzip --impedances 1.0 \
+        --instructions 30000 --window 128 --levels 6 --quiet \
+        --failpoints campaign.cell=always \
+        --json "$SMOKE_DIR/all_failed.json" \
+        --metrics-out "$SMOKE_DIR/all_failed_metrics.json"
+    build-ci/tools/didt_metrics_check \
+        --schema schemas/didt-metrics-v1.json \
+        --input "$SMOKE_DIR/all_failed_metrics.json"
 
     echo "=== scalar-fallback build (-DDIDT_SIMD=OFF) + simd label ==="
     cmake -B build-scalar -S . -DDIDT_WERROR=ON -DDIDT_SIMD=OFF
@@ -119,8 +130,9 @@ if [[ $TSAN_ONLY -eq 0 ]]; then
         exit 1
     fi
     echo "MC campaign JSON identical across jobs 1/4; MC-off bytes clean"
-    # Draw 0 computes its group's estimate unless it fails first; then
-    # the next draw does, and only the faulted cell may change.
+    # Draw 0 computes its trace's estimate for every scale unless it
+    # fails first; then the next draw that gets the trace does, and
+    # only the faulted cell may change.
     MC_FAULT='campaign.cell=key:gzip@1@d0'
     build-ci/tools/didt_campaign --jobs 1 "${MC_ARGS[@]}" \
         --failpoints "$MC_FAULT" --json "$SMOKE_DIR/mc_fault_j1.json"

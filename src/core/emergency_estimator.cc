@@ -6,6 +6,7 @@
 #include "obs/metrics.hh"
 #include "obs/scoped_timer.hh"
 #include "stats/running_stats.hh"
+#include "util/logging.hh"
 
 namespace didt
 {
@@ -36,6 +37,12 @@ analysisMetrics()
 }
 
 } // namespace
+
+void
+registerAnalysisMetrics()
+{
+    (void)analysisMetrics();
+}
 
 EmergencyProfile
 profileTrace(const CurrentTrace &trace, const SupplyNetwork &network,
@@ -69,7 +76,28 @@ estimateEmergencies(const CurrentTrace &trace,
                     std::span<const std::size_t> use_levels,
                     bool use_correlation)
 {
-    const std::size_t window = model.windowLength();
+    const VoltageVarianceModel *const one[] = {&model};
+    return estimateEmergencies(trace, one, low_threshold, high_threshold,
+                               ws, use_levels, use_correlation)
+        .front();
+}
+
+std::vector<EmergencyProfile>
+estimateEmergencies(const CurrentTrace &trace,
+                    std::span<const VoltageVarianceModel *const> models,
+                    Volt low_threshold, Volt high_threshold,
+                    AnalysisWorkspace &ws,
+                    std::span<const std::size_t> use_levels,
+                    bool use_correlation)
+{
+    if (models.empty())
+        didt_panic("estimateEmergencies needs at least one model");
+    const VoltageVarianceModel &shape = *models.front();
+    for (const VoltageVarianceModel *model : models)
+        if (!model->sharesFeatures(shape))
+            didt_panic("estimateEmergencies: models differ in window, "
+                       "levels or basis");
+    const std::size_t window = shape.windowLength();
     if (trace.size() < window)
         throw std::invalid_argument(
             "profileTrace: trace shorter than one window");
@@ -79,24 +107,36 @@ estimateEmergencies(const CurrentTrace &trace,
     // Consecutive windows, each contributing its Gaussian tail
     // probabilities (window-weighted average equals the predicted
     // fraction of cycles).
-    EmergencyProfile profile;
-    RunningStats est_below;
-    RunningStats est_above;
-    RunningStats est_var;
+    struct WindowStats
+    {
+        RunningStats below;
+        RunningStats above;
+        RunningStats variance;
+    };
+    std::vector<WindowStats> stats(models.size());
+    std::size_t windows = 0;
     const std::span<const double> samples(trace.data(), trace.size());
     for (std::size_t off = 0; off + window <= trace.size(); off += window) {
-        model.estimate(samples.subspan(off, window), use_levels,
-                       use_correlation, ws.est, ws);
-        est_below.push(ws.est.probBelow(low_threshold));
-        est_above.push(ws.est.probAbove(high_threshold));
-        est_var.push(ws.est.variance);
-        ++profile.windows;
+        shape.extractFeatures(samples.subspan(off, window), use_correlation,
+                              true, ws);
+        for (std::size_t i = 0; i < models.size(); ++i) {
+            models[i]->applyFeatures(use_levels, use_correlation, ws.est,
+                                     ws);
+            stats[i].below.push(ws.est.probBelow(low_threshold));
+            stats[i].above.push(ws.est.probAbove(high_threshold));
+            stats[i].variance.push(ws.est.variance);
+        }
+        ++windows;
     }
-    profile.estimatedBelow = est_below.mean();
-    profile.estimatedAbove = est_above.mean();
-    profile.estimatedVariance = est_var.mean();
-    analysisMetrics().windows.add(profile.windows);
-    return profile;
+    std::vector<EmergencyProfile> profiles(models.size());
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        profiles[i].estimatedBelow = stats[i].below.mean();
+        profiles[i].estimatedAbove = stats[i].above.mean();
+        profiles[i].estimatedVariance = stats[i].variance.mean();
+        profiles[i].windows = windows;
+    }
+    analysisMetrics().windows.add(windows);
+    return profiles;
 }
 
 void

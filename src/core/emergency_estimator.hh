@@ -13,6 +13,8 @@
 #define DIDT_CORE_EMERGENCY_ESTIMATOR_HH
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "core/variance_model.hh"
 #include "power/supply_network.hh"
@@ -85,7 +87,8 @@ EmergencyProfile profileTrace(const CurrentTrace &trace,
  * The estimate side of profileTrace: fills estimatedBelow,
  * estimatedAbove, estimatedVariance and windows, and leaves the
  * measured fields zero. It reads only the trace and the model, so one
- * call serves every network the trace is measured against.
+ * call serves every network the trace is measured against. A
+ * one-model call of the overload below.
  *
  * @throws std::invalid_argument if the trace is shorter than one
  *         model window
@@ -98,6 +101,25 @@ estimateEmergencies(const CurrentTrace &trace,
                     bool use_correlation = true);
 
 /**
+ * The estimate side for many models at once, typically one per
+ * impedance scale: one profile per model, in model order. Each
+ * window's features are extracted once and every model is applied to
+ * them, each pushing its own window statistics in window order, so
+ * profile i is bit-identical to a one-model call with models[i]. The
+ * models must share window, levels and basis (panics otherwise).
+ *
+ * @throws std::invalid_argument if the trace is shorter than one
+ *         model window
+ */
+std::vector<EmergencyProfile>
+estimateEmergencies(const CurrentTrace &trace,
+                    std::span<const VoltageVarianceModel *const> models,
+                    Volt low_threshold, Volt high_threshold,
+                    AnalysisWorkspace &ws,
+                    std::span<const std::size_t> use_levels = {},
+                    bool use_correlation = true);
+
+/**
  * The measured side of profileTrace: one pass of @p trace through
  * @p network that fills @p profile's measuredBelow, measuredAbove and
  * measuredVariance, storing no voltage trace.
@@ -105,6 +127,13 @@ estimateEmergencies(const CurrentTrace &trace,
 void measureEmergencies(const CurrentTrace &trace,
                         const SupplyNetwork &network, Volt low_threshold,
                         Volt high_threshold, EmergencyProfile &profile);
+
+/**
+ * Register the analysis.* work counters and latency histograms in the
+ * global metrics registry, so a sidecar lists them (at zero) even when
+ * no trace was analysed. Idempotent.
+ */
+void registerAnalysisMetrics();
 
 } // namespace didt
 

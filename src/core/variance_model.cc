@@ -135,6 +135,7 @@ VoltageVarianceModel::calibrate(Rng &rng, std::size_t samples_per_point)
     beginRegression(reg);
     AnalysisWorkspace ws;
     std::vector<double> signal;
+    std::vector<double> row(reg.cols);
 
     const double resonant_period =
         network_.config().clockHz / network_.resonantFrequency();
@@ -155,7 +156,8 @@ VoltageVarianceModel::calibrate(Rng &rng, std::size_t samples_per_point)
                     std::fmod(static_cast<double>(n) + phase, period);
                 signal[n] += pos < period / 2.0 ? amp : 0.0;
             }
-            accumulateWindow(reg, signal, ws);
+            regressionRows(signal, row, ws);
+            accumulateRow(reg, row, signal, ws);
             continue;
         }
 
@@ -192,7 +194,8 @@ VoltageVarianceModel::calibrate(Rng &rng, std::size_t samples_per_point)
         for (auto &x : signal)
             x = std::max(0.0, x);
 
-        accumulateWindow(reg, signal, ws);
+        regressionRows(signal, row, ws);
+        accumulateRow(reg, row, signal, ws);
     }
 
     finishRegression(reg);
@@ -203,30 +206,84 @@ VoltageVarianceModel::calibrateOnTraces(std::span<const CurrentTrace> traces)
 {
     obs::ScopedTimer span("model.calibrate_on_traces", obs::Histogram{},
                           nullptr, "core");
+    std::vector<double> rows;
+    AnalysisWorkspace ws;
+    for (const CurrentTrace &trace : traces) {
+        const std::size_t at = rows.size();
+        rows.resize(at + trace.size() / window_ * regressionColumns());
+        regressionRows(trace, std::span<double>(rows).subspan(at), ws);
+    }
+    calibrateOnRows(traces, rows);
+}
+
+void
+VoltageVarianceModel::calibrateOnRows(std::span<const CurrentTrace> traces,
+                                      std::span<const double> rows)
+{
     Regression reg;
     beginRegression(reg);
-    AnalysisWorkspace ws;
     std::size_t windows = 0;
-    for (const CurrentTrace &trace : traces) {
-        const std::span<const double> samples(trace.data(), trace.size());
-        for (std::size_t off = 0; off + window_ <= trace.size();
-             off += window_) {
-            accumulateWindow(reg, samples.subspan(off, window_), ws);
-            ++windows;
-        }
-    }
+    for (const CurrentTrace &trace : traces)
+        windows += trace.size() / window_;
+    if (rows.size() != windows * reg.cols)
+        didt_panic("calibrateOnRows: ", rows.size(), " row values for ",
+                   windows, " windows of ", reg.cols);
     if (windows < 16)
         throw std::invalid_argument(
             "calibrateOnTraces needs at least 16 windows, got " +
             std::to_string(windows));
+    AnalysisWorkspace ws;
+    std::size_t row = 0;
+    for (const CurrentTrace &trace : traces) {
+        const std::span<const double> samples(trace.data(), trace.size());
+        for (std::size_t off = 0; off + window_ <= trace.size();
+             off += window_) {
+            accumulateRow(reg, rows.subspan(row * reg.cols, reg.cols),
+                          samples.subspan(off, window_), ws);
+            ++row;
+        }
+    }
     finishRegression(reg);
+}
+
+std::size_t
+VoltageVarianceModel::regressionColumns() const
+{
+    return 3 * levels_ + (hasApproximation() ? 2 : 0);
+}
+
+void
+VoltageVarianceModel::regressionRows(std::span<const double> trace,
+                                     std::span<double> rows,
+                                     AnalysisWorkspace &ws) const
+{
+    const std::size_t cols = regressionColumns();
+    if (rows.size() != trace.size() / window_ * cols)
+        didt_panic("regressionRows: ", rows.size(), " values for ",
+                   trace.size() / window_, " windows of ", cols);
+    const WindowFeatures &f = ws.stats;
+    for (std::size_t off = 0; off + window_ <= trace.size();
+         off += window_) {
+        extractFeatures(trace.subspan(off, window_), true, false, ws);
+        const std::span<double> row =
+            rows.subspan(off / window_ * cols, cols);
+        for (std::size_t j = 0; j < levels_; ++j) {
+            row[3 * j] = f.subbandVariance[j];
+            row[3 * j + 1] = f.adjacentCorrelation[j] * f.subbandVariance[j];
+            row[3 * j + 2] = f.lag2Correlation[j] * f.subbandVariance[j];
+        }
+        if (hasApproximation()) {
+            row[3 * levels_] = f.approximationVariance;
+            row[3 * levels_ + 1] =
+                f.approximationCorrelation * f.approximationVariance;
+        }
+    }
 }
 
 void
 VoltageVarianceModel::beginRegression(Regression &reg) const
 {
-    reg.hasApprox = (window_ >> levels_) >= 2;
-    reg.cols = 3 * levels_ + (reg.hasApprox ? 2 : 0);
+    reg.cols = regressionColumns();
     reg.xtx.assign(reg.cols, std::vector<double>(reg.cols, 0.0));
     reg.xty.assign(reg.cols, 0.0);
     reg.colSum.assign(reg.cols, 0.0);
@@ -234,26 +291,11 @@ VoltageVarianceModel::beginRegression(Regression &reg) const
 }
 
 void
-VoltageVarianceModel::accumulateWindow(Regression &reg,
-                                       std::span<const double> signal,
-                                       AnalysisWorkspace &ws) const
+VoltageVarianceModel::accumulateRow(Regression &reg,
+                                    std::span<const double> row,
+                                    std::span<const double> signal,
+                                    AnalysisWorkspace &ws) const
 {
-    dwt_.forward(signal, levels_, ws.dec, ws.dwt);
-    computeScaleStats(ws.dec, ws.stats);
-    std::vector<double> &row = ws.row;
-    row.assign(reg.cols, 0.0);
-    for (std::size_t j = 0; j < levels_; ++j) {
-        const double rho2 = lagAutocorrelation(ws.dec.detail(j), 2);
-        row[3 * j] = ws.stats.subbandVariance[j];
-        row[3 * j + 1] =
-            ws.stats.adjacentCorrelation[j] * ws.stats.subbandVariance[j];
-        row[3 * j + 2] = rho2 * ws.stats.subbandVariance[j];
-    }
-    if (reg.hasApprox) {
-        const double rho_a = lag1Autocorrelation(ws.dec.approximation());
-        row[3 * levels_] = ws.stats.approximationVariance;
-        row[3 * levels_ + 1] = rho_a * ws.stats.approximationVariance;
-    }
     const double y = measureOutputVariance(signal, ws);
     if (y <= 0.0)
         return;
@@ -285,7 +327,7 @@ VoltageVarianceModel::finishRegression(Regression &reg)
                            coeff[3 * j + 2] * reg.colSum[3 * j + 2]) /
                               rows);
     }
-    if (reg.hasApprox)
+    if (hasApproximation())
         approxFactor_ = Factor{std::max(0.0, coeff[3 * levels_]),
                                coeff[3 * levels_ + 1], 0.0};
     else
@@ -345,15 +387,48 @@ VoltageVarianceModel::estimate(std::span<const double> window,
                                bool use_correlation, WindowEstimate &out,
                                AnalysisWorkspace &ws) const
 {
-    if (!calibrated_)
-        didt_panic("VoltageVarianceModel::estimate before calibration");
+    extractFeatures(window, use_correlation, true, ws);
+    applyFeatures(use_levels, use_correlation, out, ws);
+}
+
+void
+VoltageVarianceModel::extractFeatures(std::span<const double> window,
+                                      bool use_correlation, bool with_mean,
+                                      AnalysisWorkspace &ws) const
+{
     if (window.size() != window_)
-        didt_panic("estimate() expects ", window_, " samples, got ",
-                   window.size());
+        didt_panic("extractFeatures() expects ", window_,
+                   " samples, got ", window.size());
 
     dwt_.forward(window, levels_, ws.dec, ws.dwt);
-    computeScaleStats(ws.dec, ws.stats);
+    WindowFeatures &f = ws.stats;
+    computeScaleStats(ws.dec, f);
+    if (use_correlation) {
+        f.lag2Correlation.resize(levels_);
+        for (std::size_t j = 0; j < levels_; ++j)
+            f.lag2Correlation[j] = lagAutocorrelation(ws.dec.detail(j), 2);
+        if (hasApproximation())
+            f.approximationCorrelation =
+                lag1Autocorrelation(ws.dec.approximation());
+    }
+    if (with_mean) {
+        RunningStats mean_stats;
+        for (double x : window)
+            mean_stats.push(x);
+        f.mean = mean_stats.mean();
+    }
+}
 
+void
+VoltageVarianceModel::applyFeatures(std::span<const std::size_t> use_levels,
+                                    bool use_correlation,
+                                    WindowEstimate &out,
+                                    AnalysisWorkspace &ws) const
+{
+    if (!calibrated_)
+        didt_panic("VoltageVarianceModel::estimate before calibration");
+
+    const WindowFeatures &f = ws.stats;
     ws.selected.assign(levels_, use_levels.empty() ? 1 : 0);
     for (std::size_t j : use_levels) {
         if (j >= levels_)
@@ -362,35 +437,35 @@ VoltageVarianceModel::estimate(std::span<const double> window,
     }
 
     out.contributions.assign(levels_ + 1, 0.0);
-
-    RunningStats mean_stats;
-    for (double x : window)
-        mean_stats.push(x);
-    out.mean = network_.steadyStateVoltage(mean_stats.mean());
+    out.mean = network_.steadyStateVoltage(f.mean);
 
     double total = 0.0;
     for (std::size_t j = 0; j < levels_; ++j) {
         if (!ws.selected[j])
             continue;
-        const double rho1 =
-            use_correlation ? ws.stats.adjacentCorrelation[j] : 0.0;
-        const double rho2 =
-            use_correlation ? lagAutocorrelation(ws.dec.detail(j), 2) : 0.0;
+        const double rho1 = use_correlation ? f.adjacentCorrelation[j] : 0.0;
+        const double rho2 = use_correlation ? f.lag2Correlation[j] : 0.0;
         const double contribution =
-            detailFactors_[j].at(rho1, rho2) * ws.stats.subbandVariance[j];
+            detailFactors_[j].at(rho1, rho2) * f.subbandVariance[j];
         out.contributions[j] = contribution;
         total += contribution;
     }
-    if (ws.dec.approximation().size() >= 2) {
+    if (hasApproximation()) {
         const double rho =
-            use_correlation ? lag1Autocorrelation(ws.dec.approximation())
-                            : 0.0;
+            use_correlation ? f.approximationCorrelation : 0.0;
         const double contribution =
-            approxFactor_.at(rho, 0.0) * ws.stats.approximationVariance;
+            approxFactor_.at(rho, 0.0) * f.approximationVariance;
         out.contributions[levels_] = contribution;
         total += contribution;
     }
     out.variance = total;
+}
+
+bool
+VoltageVarianceModel::sharesFeatures(const VoltageVarianceModel &other) const
+{
+    return window_ == other.window_ && levels_ == other.levels_ &&
+           dwt_.basis().name() == other.dwt_.basis().name();
 }
 
 std::vector<std::size_t>

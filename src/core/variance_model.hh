@@ -50,6 +50,30 @@ struct WindowEstimate
 };
 
 /**
+ * Everything the model reads from one current window: the per-scale
+ * statistics (subband variance, lag-1 coefficient correlation,
+ * approximation variance), the lag-2 coefficient correlation of each
+ * detail level, the lag-1 correlation of the approximation row, and
+ * the window mean. None of it depends on the supply network, which
+ * enters only through the calibrated factors a model applies to them,
+ * so one extraction serves every impedance scale.
+ */
+struct WindowFeatures : ScaleStats
+{
+    /** Lag-2 coefficient correlation per detail level (finest
+     *  first); extracted only with correlation. */
+    std::vector<double> lag2Correlation;
+
+    /** Lag-1 correlation of the approximation row; extracted only
+     *  with correlation, and only when the row has two or more
+     *  coefficients. */
+    double approximationCorrelation = 0.0;
+
+    /** Window mean current; extracted only for estimates. */
+    double mean = 0.0;
+};
+
+/**
  * Reusable scratch for the analysis pipeline (estimate, calibration,
  * trace profiling). All buffers grow to the high-water mark of the
  * windows they process and are then reused allocation-free, so one
@@ -61,10 +85,9 @@ struct AnalysisWorkspace
 {
     DwtWorkspace dwt;           ///< pyramid ping/pong scratch
     FlatDecomposition dec;      ///< per-window decomposition
-    ScaleStats stats;           ///< per-scale statistics
+    WindowFeatures stats;       ///< the current window's features
     WindowEstimate est;         ///< per-window estimate scratch
     std::vector<char> selected; ///< detail-level selection mask
-    std::vector<double> row;    ///< regression feature row
     CurrentTrace tiled;         ///< tiled calibration stimulus
     /** Supply-network response of @c tiled in calibration. Trace
      *  profiling streams its voltage and never fills this. */
@@ -104,9 +127,34 @@ class VoltageVarianceModel
      * the training family matches real machine behaviour). Targets are
      * the exact steady-state voltage variances of each window. Throws
      * std::invalid_argument when the traces hold fewer than 16
-     * windows, too few to fit the per-scale factors.
+     * windows, too few to fit the per-scale factors. Equivalent to
+     * regressionRows() over every trace, then calibrateOnRows().
      */
     void calibrateOnTraces(std::span<const CurrentTrace> traces);
+
+    /** Values in one regression row: three per detail level, plus two
+     *  for an approximation row of two or more coefficients. */
+    std::size_t regressionColumns() const;
+
+    /**
+     * Write the regression row of each whole window of @p trace to
+     * @p rows, which holds (trace.size() / windowLength()) rows of
+     * regressionColumns() values. The rows are window features, so
+     * they depend on the window, levels and basis only: one model's
+     * rows serve every model that sharesFeatures() with it.
+     */
+    void regressionRows(std::span<const double> trace,
+                        std::span<double> rows,
+                        AnalysisWorkspace &ws) const;
+
+    /**
+     * The fit half of calibrateOnTraces: compute each window's target
+     * and regress it on the stored @p rows, which regressionRows()
+     * wrote for @p traces in trace order. Bit-identical to
+     * calibrateOnTraces(traces). Throws like it.
+     */
+    void calibrateOnRows(std::span<const CurrentTrace> traces,
+                         std::span<const double> rows);
 
     /**
      * Analytic fallback calibration: per-scale factor from the mean
@@ -135,12 +183,39 @@ class VoltageVarianceModel
      * In-place overload: write the estimate into @p out using @p ws
      * for all intermediate storage. Allocation-free once the workspace
      * has warmed up; bit-identical to the allocating overload (which
-     * is a thin adapter over this one).
+     * is a thin adapter over this one). It is extractFeatures(), then
+     * applyFeatures().
      */
     void estimate(std::span<const double> window,
                   std::span<const std::size_t> use_levels,
                   bool use_correlation, WindowEstimate &out,
                   AnalysisWorkspace &ws) const;
+
+    /**
+     * The scale-free half of estimate(): fill ws.stats with the
+     * features of @p window (exactly windowLength() samples). Runs the
+     * forward DWT and the scale statistics; with @p use_correlation,
+     * also the lag-2 correlation of each detail level and the lag-1
+     * correlation of the approximation; with @p with_mean, also the
+     * window mean, which only estimates read.
+     */
+    void extractFeatures(std::span<const double> window,
+                         bool use_correlation, bool with_mean,
+                         AnalysisWorkspace &ws) const;
+
+    /**
+     * The model half of estimate(): combine the features in ws.stats,
+     * extracted with the same @p use_correlation by any model that
+     * sharesFeatures() with this one, with this model's network and
+     * calibrated factors into @p out.
+     */
+    void applyFeatures(std::span<const std::size_t> use_levels,
+                       bool use_correlation, WindowEstimate &out,
+                       AnalysisWorkspace &ws) const;
+
+    /** True when @p other has the same window, levels and basis, so
+     *  either model's window features serve both. */
+    bool sharesFeatures(const VoltageVarianceModel &other) const;
 
     /**
      * The @p k detail levels with the largest calibrated base factors
@@ -182,12 +257,17 @@ class VoltageVarianceModel
         std::vector<double> colSum; ///< unweighted feature sums
         std::size_t rows = 0;
         std::size_t cols = 0;
-        bool hasApprox = false;
     };
 
+    /** The approximation row has two or more coefficients, so it
+     *  carries a variance term. */
+    bool hasApproximation() const { return (window_ >> levels_) >= 2; }
+
     void beginRegression(Regression &reg) const;
-    void accumulateWindow(Regression &reg, std::span<const double> signal,
-                          AnalysisWorkspace &ws) const;
+    /** Measure @p signal's target and add @p row, its regression row. */
+    void accumulateRow(Regression &reg, std::span<const double> row,
+                       std::span<const double> signal,
+                       AnalysisWorkspace &ws) const;
     void finishRegression(Regression &reg);
 
     const SupplyNetwork &network_;

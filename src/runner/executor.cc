@@ -4,6 +4,7 @@
 #include <cstring>
 #include <future>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "core/emergency_estimator.hh"
@@ -40,6 +41,8 @@ struct CampaignMetrics
     obs::Counter cellsInterrupted;
     obs::Histogram cellMs;
     obs::Histogram calibrateMs;
+    obs::Counter calibrateModels;  ///< variance models fitted
+    obs::Counter calibrateWindows; ///< training windows whose rows were extracted
 };
 
 CampaignMetrics &
@@ -52,6 +55,8 @@ campaignMetrics()
         registry.counter("campaign.cells_interrupted"),
         registry.histogram("campaign.cell_ms"),
         registry.histogram("campaign.calibrate_ms"),
+        registry.counter("calibrate.models"),
+        registry.counter("calibrate.windows"),
     };
     return metrics;
 }
@@ -152,6 +157,10 @@ Executor::Executor(const ExperimentSetup &setup, TraceRepository &repo,
     : setup_(setup), repo_(repo), pool_(jobs),
       workspaces_(pool_.size() + 1)
 {
+    // Register every metric a run can touch now, so a sidecar carries
+    // them even when every cell fails before it analyses a trace.
+    (void)campaignMetrics();
+    registerAnalysisMetrics();
 }
 
 std::size_t
@@ -218,21 +227,51 @@ Executor::calibratedScales(const CampaignSpec &spec)
     obs::ScopedTimer phase("campaign.calibrate", {}, nullptr,
                            "campaign");
     const obs::TraceContext ctx = obs::currentTraceContext();
+    std::vector<std::unique_ptr<VoltageVarianceModel>> fits(missing.size());
+    for (std::size_t mi = 0; mi < missing.size(); ++mi)
+        fits[mi] = std::make_unique<VoltageVarianceModel>(
+            result[missing[mi]]->network, spec.windowLength, spec.levels,
+            basis);
+
+    // The training windows' regression rows are window features, the
+    // same for every scale: extract them once, one task per training
+    // trace, into one buffer in trace order, and let each scale's fit
+    // add only its targets.
+    const VoltageVarianceModel &shape = *fits.front();
+    const std::size_t cols = shape.regressionColumns();
+    std::vector<std::size_t> firstRow(training.size() + 1, 0);
+    for (std::size_t t = 0; t < training.size(); ++t)
+        firstRow[t + 1] =
+            firstRow[t] + training[t].size() / spec.windowLength;
+    std::vector<double> rows(firstRow.back() * cols);
     std::vector<std::string> errors(missing.size());
     try {
+        pool_.parallelFor(training.size(), [&](std::size_t t) {
+            obs::ScopedTraceContext scope(ctx);
+            obs::ScopedTimer timer("calibrate rows", obs::Histogram{},
+                                   nullptr, "campaign");
+            // A worker's own workspace; never the shared non-worker
+            // slot, which a concurrent run's caller thread may hold.
+            const std::size_t wi = ThreadPool::workerIndex();
+            AnalysisWorkspace local;
+            AnalysisWorkspace &ws =
+                wi == ThreadPool::kNotAWorker ? local : workspaces_[wi];
+            shape.regressionRows(
+                training[t],
+                std::span<double>(rows).subspan(
+                    firstRow[t] * cols,
+                    (firstRow[t + 1] - firstRow[t]) * cols),
+                ws);
+        });
+        campaignMetrics().calibrateWindows.add(firstRow.back());
+
         pool_.parallelFor(missing.size(), [&](std::size_t mi) {
             obs::ScopedTraceContext scope(ctx);
             obs::ScopedTimer timer("calibrate scale",
                                    campaignMetrics().calibrateMs, nullptr,
                                    "campaign");
-            const std::size_t si = missing[mi];
-            // result[si] points at the entry this run just inserted, so
-            // writing through the const_cast is exclusive to this task.
-            auto *entry = const_cast<CalibratedScale *>(result[si]);
-            auto model = std::make_unique<VoltageVarianceModel>(
-                entry->network, spec.windowLength, spec.levels, basis);
             try {
-                model->calibrateOnTraces(training);
+                fits[mi]->calibrateOnRows(training, rows);
             } catch (const std::invalid_argument &e) {
                 // Hand the caller the message, not the exception: the
                 // C++ runtime counts references to a thrown object
@@ -241,7 +280,11 @@ Executor::calibratedScales(const CampaignSpec &spec)
                 errors[mi] = e.what();
                 return;
             }
-            entry->model = std::move(model);
+            campaignMetrics().calibrateModels.add(1);
+            // result[si] points at the entry this run just inserted, so
+            // writing through the const_cast is exclusive to this task.
+            const_cast<CalibratedScale *>(result[missing[mi]])->model =
+                std::move(fits[mi]);
         });
         for (const std::string &error : errors)
             if (!error.empty())
@@ -298,13 +341,15 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
 
     // Phase 3: the sweep, one pool task per group: a (workload, cores,
     // scale) with all of its Monte Carlo draws, or a single cell when
-    // MC is off. Every draw keeps the nominal trace and model, so the
-    // group's estimate is computed once and each draw adds only its
-    // measured side. Cells are stored benchmark-major for reporting
-    // (a group's draws contiguous), but groups go out in the plan's
-    // scale-major order of draw 0, so the first batch of tasks covers
-    // distinct workloads and primes the trace cache before the sharing
-    // groups queue up behind it.
+    // MC is off. Every draw keeps the nominal trace and model, and the
+    // estimate reads the network only through the scale's calibrated
+    // factors, so one many-model estimate per trace serves every scale
+    // and draw; each draw adds only its measured side. Cells are
+    // stored benchmark-major for reporting (a group's draws
+    // contiguous), but groups go out in the plan's scale-major order
+    // of draw 0, so the first batch of tasks covers distinct workloads
+    // and primes the trace cache before the sharing groups queue up
+    // behind it.
     std::optional<obs::ScopedTimer> sweep_phase;
     sweep_phase.emplace("campaign.sweep", obs::Histogram{}, nullptr,
                         "campaign");
@@ -318,6 +363,22 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
     for (std::size_t pi = 0; pi < plan.workloadCount(); ++pi)
         cell_labels.push_back("cell " + plan.workloadName(pi));
     const std::size_t draws = plan.spec.drawCount();
+    // One estimate slot per (workload, cores): the trace's profile for
+    // every scale. The first draw of any of the trace's groups that
+    // gets past its failpoint and lookup fills it under the slot's
+    // lock; the trace's other groups wait on that lock and copy their
+    // scale's profile. A throwing estimate leaves the slot empty, so
+    // the next draw retries and fails the same way.
+    struct TraceEstimate
+    {
+        std::mutex mutex;
+        std::vector<EmergencyProfile> profiles;
+    };
+    std::vector<TraceEstimate> estimates(plan.workloadCount() *
+                                         coreCounts.size());
+    std::vector<const VoltageVarianceModel *> scaleModels;
+    for (const CalibratedScale *cal : models)
+        scaleModels.push_back(cal->model.get());
     std::mutex progress_mutex;
     std::vector<std::future<void>> pending;
     std::vector<std::size_t> pendingGroup; // submission order -> draw 0
@@ -349,16 +410,14 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
         if (cancelled_early)
             continue;
         pendingGroup.push_back(first);
-        pending.push_back(pool_.submit([&, first, pi, si, cores] {
+        const std::size_t ti = pi * coreCounts.size() + head.coreIndex;
+        pending.push_back(pool_.submit([&, first, pi, si, cores, ti] {
             obs::ScopedTraceContext cell_scope(cell_context);
             const std::size_t wi = ThreadPool::workerIndex();
             AnalysisWorkspace &ws =
                 workspaces_[wi == ThreadPool::kNotAWorker ? pool_.size()
                                                           : wi];
             const CalibratedScale &cal = *models[si];
-            // The first draw that gets its trace computes the estimate;
-            // a draw that fails before that leaves it to the next one.
-            std::optional<EmergencyProfile> estimate;
             for (std::size_t di = 0; di < draws; ++di) {
                 const std::size_t ci = first + di;
                 obs::ScopedTimer span(cell_labels[pi],
@@ -384,11 +443,18 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
                             cellTraceRequest(plan.spec, pi, cores);
                         const std::shared_ptr<const CurrentTrace> trace =
                             repo_.get(request, &deltas[ci]);
-                        if (!estimate)
-                            estimate = estimateEmergencies(
-                                *trace, *cal.model, plan.spec.lowThreshold,
-                                plan.spec.highThreshold, ws, {},
-                                plan.spec.useCorrelation);
+                        EmergencyProfile ep;
+                        {
+                            TraceEstimate &slot = estimates[ti];
+                            std::lock_guard<std::mutex> lock(slot.mutex);
+                            if (slot.profiles.empty())
+                                slot.profiles = estimateEmergencies(
+                                    *trace, scaleModels,
+                                    plan.spec.lowThreshold,
+                                    plan.spec.highThreshold, ws, {},
+                                    plan.spec.useCorrelation);
+                            ep = slot.profiles[si];
+                        }
                         // A draw perturbs the supply network only; the
                         // trace and the calibrated variance model stay
                         // nominal, so the per-draw spread measures
@@ -402,7 +468,6 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
                             varied.impedanceScale = scales[si];
                             drawn.emplace(varied);
                         }
-                        EmergencyProfile ep = *estimate;
                         measureEmergencies(
                             *trace, drawn ? *drawn : cal.network,
                             plan.spec.lowThreshold, plan.spec.highThreshold,

@@ -23,9 +23,10 @@
  * run() is safe to call from multiple threads; tasks from concurrent
  * runs interleave on the shared pool. A task evaluates one group: a
  * (workload, cores, scale) with all of its Monte Carlo draws, or one
- * cell when MC is off. Each worker owns one workspace and runs one
- * task at a time, so workspace reuse across concurrent runs is
- * race-free.
+ * cell when MC is off. A trace's groups share one estimate for every
+ * scale through a slot that lives for one run. Each worker owns one
+ * workspace and runs one task at a time, so workspace reuse across
+ * concurrent runs is race-free.
  */
 
 #ifndef DIDT_RUNNER_EXECUTOR_HH
@@ -138,8 +139,9 @@ class Executor
 
     /**
      * Calibrated models for the plan's scales, in scale order. Missing
-     * entries are calibrated in parallel; cached entries are returned
-     * as-is. Returned pointers stay valid for the executor's lifetime.
+     * entries share one extraction of the training rows, then fit in
+     * parallel; cached entries are returned as-is. Returned pointers
+     * stay valid for the executor's lifetime.
      * A fit that throws (std::invalid_argument when the spec's window
      * leaves too few training windows) is rethrown and leaves no
      * entry behind.

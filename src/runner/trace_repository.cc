@@ -175,6 +175,9 @@ TraceRepository::TraceRepository(const ExperimentSetup &setup,
                                  std::string cache_dir)
     : setup_(setup), cacheDir_(std::move(cache_dir))
 {
+    // Register the repo.* metrics now, so a sidecar carries them even
+    // when no lookup ever runs.
+    (void)repoMetrics();
 }
 
 std::string

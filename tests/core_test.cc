@@ -5,8 +5,13 @@
  * the dI/dt controllers.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +25,7 @@
 #include "power/supply_network.hh"
 #include "stats/running_stats.hh"
 #include "util/rng.hh"
+#include "wavelet/basis.hh"
 
 namespace didt
 {
@@ -202,6 +208,119 @@ TEST(VarianceModel, CalibrateOnTracesWorks)
     model.calibrateOnTraces(traces);
     EXPECT_TRUE(model.calibrated());
     EXPECT_GT(model.baseFactor(3), 0.0);
+}
+
+/** A small training family: broadband noise and two square waves. */
+std::vector<CurrentTrace>
+trainingFamily()
+{
+    Rng rng(12);
+    std::vector<CurrentTrace> traces;
+    traces.push_back(gaussianCurrent(40.0, 6.0, 8192, rng));
+    traces.push_back(resonantSquareWave(3.0e9, 125.0e6, 25.0, 70.0, 400));
+    traces.push_back(resonantSquareWave(3.0e9, 60.0e6, 30.0, 60.0, 200));
+    return traces;
+}
+
+/** The bit pattern of @p value, so equal means equal to the bit. */
+std::uint64_t
+bitsOf(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+TEST(VarianceModel, SharedTrainingRowsFitLikeCalibrateOnTraces)
+{
+    // Regression rows are window features: rows that a unit-scale
+    // model extracts trace by trace into one buffer fit a 1.5x model
+    // to exactly the factors of that model's own calibrateOnTraces.
+    const std::vector<CurrentTrace> training = trainingFamily();
+    const SupplyNetwork unit = testNetwork(1.0);
+    const SupplyNetwork scaled = testNetwork(1.5);
+    for (const char *basis : {"haar", "db4"}) {
+        SCOPED_TRACE(basis);
+        const VoltageVarianceModel shape(unit, 256, 8,
+                                         WaveletBasis::byName(basis));
+        const std::size_t cols = shape.regressionColumns();
+        std::vector<double> rows;
+        AnalysisWorkspace ws;
+        for (const CurrentTrace &trace : training) {
+            std::vector<double> part(trace.size() / 256 * cols);
+            shape.regressionRows(trace, part, ws);
+            rows.insert(rows.end(), part.begin(), part.end());
+        }
+        VoltageVarianceModel from_rows(scaled, 256, 8,
+                                       WaveletBasis::byName(basis));
+        from_rows.calibrateOnRows(training, rows);
+        VoltageVarianceModel direct(scaled, 256, 8,
+                                    WaveletBasis::byName(basis));
+        direct.calibrateOnTraces(training);
+        for (std::size_t j = 0; j < direct.levels(); ++j) {
+            EXPECT_EQ(bitsOf(from_rows.baseFactor(j)),
+                      bitsOf(direct.baseFactor(j)))
+                << "level " << j;
+            EXPECT_EQ(bitsOf(from_rows.meanContribution(j)),
+                      bitsOf(direct.meanContribution(j)))
+                << "level " << j;
+        }
+        // The correlation and approximation factors show in estimates.
+        const std::span<const double> window(training[1].data(), 256);
+        EXPECT_EQ(bitsOf(from_rows.estimate(window).variance),
+                  bitsOf(direct.estimate(window).variance));
+    }
+}
+
+TEST(EmergencyEstimator, ManyModelEstimateMatchesOneModelCalls)
+{
+    // One feature extraction per window serves every scale: each
+    // profile of a five-scale call has the bits of a one-model call
+    // with that scale's model alone. Applying the five models in turn
+    // through one workspace would expose any state that leaks from
+    // one model to the next.
+    const std::vector<CurrentTrace> training = trainingFamily();
+    Rng rng(31);
+    CurrentTrace trace = gaussianCurrent(40.0, 12.0, 256 * 12, rng);
+    const CurrentTrace burst =
+        resonantSquareWave(3.0e9, 125.0e6, 25.0, 75.0, 256);
+    trace.insert(trace.end(), burst.begin(), burst.end());
+    const std::vector<std::size_t> some_levels{1, 2, 3, 5};
+
+    std::vector<SupplyNetwork> networks;
+    for (double scale : {1.0, 1.2, 1.5, 1.8, 2.0})
+        networks.push_back(testNetwork(scale));
+    for (const auto &[basis, correlation] :
+         {std::pair{"haar", true}, std::pair{"db4", false}}) {
+        SCOPED_TRACE(basis);
+        std::vector<std::unique_ptr<VoltageVarianceModel>> owned;
+        std::vector<const VoltageVarianceModel *> models;
+        for (const SupplyNetwork &net : networks) {
+            owned.push_back(std::make_unique<VoltageVarianceModel>(
+                net, 256, 8, WaveletBasis::byName(basis)));
+            owned.back()->calibrateOnTraces(training);
+            models.push_back(owned.back().get());
+        }
+        AnalysisWorkspace ws;
+        const std::vector<EmergencyProfile> all = estimateEmergencies(
+            trace, models, 0.97, 1.03, ws, some_levels, correlation);
+        ASSERT_EQ(all.size(), models.size());
+        for (std::size_t i = 0; i < models.size(); ++i) {
+            SCOPED_TRACE("model " + std::to_string(i));
+            AnalysisWorkspace fresh;
+            const EmergencyProfile one =
+                estimateEmergencies(trace, *models[i], 0.97, 1.03, fresh,
+                                    some_levels, correlation);
+            EXPECT_EQ(bitsOf(all[i].estimatedBelow),
+                      bitsOf(one.estimatedBelow));
+            EXPECT_EQ(bitsOf(all[i].estimatedAbove),
+                      bitsOf(one.estimatedAbove));
+            EXPECT_EQ(bitsOf(all[i].estimatedVariance),
+                      bitsOf(one.estimatedVariance));
+            EXPECT_EQ(all[i].windows, one.windows);
+        }
+        // Scales differ, so a profile copied across models would show.
+        EXPECT_NE(bitsOf(all.front().estimatedVariance),
+                  bitsOf(all.back().estimatedVariance));
+    }
 }
 
 TEST(WindowEstimate, GaussianTailProbabilities)

@@ -6,8 +6,8 @@
  * round-tripping of the mc_* fields, the guarantee that an MC-off
  * campaign emits exactly the pre-MC schema (no draw column, no
  * monte_carlo section, no mc_* spec members), and the group task's
- * contract: one estimate per (workload, cores, scale), failures per
- * cell, and a pool.task fault failing its whole group.
+ * contract: one estimate per (workload, cores) for every scale,
+ * failures per cell, and a pool.task fault failing its whole group.
  */
 
 #include <algorithm>
@@ -261,7 +261,7 @@ TEST(McCampaign, SpecJsonRoundTripsMonteCarloFields)
 }
 
 // ---------------------------------------------------------------------------
-// Group tasks: one estimate per (workload, cores, scale), per-cell faults
+// Group tasks: one estimate per (workload, cores), per-cell faults
 // ---------------------------------------------------------------------------
 
 /** Every value field of two cells, bit for bit (wall time aside). */
@@ -305,7 +305,7 @@ analysisWorkOf(const CampaignSpec &spec, std::size_t jobs,
     return {windows.total() - windows0, samples.total() - samples0};
 }
 
-TEST(McCampaign, AnalysisCountersCountOneEstimatePerGroup)
+TEST(McCampaign, AnalysisCountersCountOneEstimatePerTrace)
 {
     CampaignSpec spec = mcSpec();
     spec.impedanceScales = {1.0, 1.2};
@@ -316,19 +316,22 @@ TEST(McCampaign, AnalysisCountersCountOneEstimatePerGroup)
     EXPECT_EQ(one.windows, four.windows);
     EXPECT_EQ(one.samplesFiltered, four.samplesFiltered);
 
-    // Each group estimates its trace once; each draw filters it once.
-    std::uint64_t group_windows = 0;
+    // Each (workload, cores) trace is estimated once for every scale;
+    // each draw filters it once.
+    std::uint64_t trace_windows = 0;
     std::uint64_t cell_windows = 0;
     std::uint64_t cell_samples = 0;
     for (const CampaignCell &cell : serial.cells) {
         ASSERT_FALSE(cell.failed) << cell.error;
-        if (cell.draw == 0)
-            group_windows += cell.windows;
+        if (cell.draw == 0 &&
+            cell.impedanceScale == spec.impedanceScales.front())
+            trace_windows += cell.windows;
         cell_windows += cell.windows;
         cell_samples += cell.traceCycles;
     }
-    EXPECT_EQ(one.windows, group_windows);
-    EXPECT_EQ(one.windows * spec.mcDraws, cell_windows);
+    EXPECT_EQ(one.windows, trace_windows);
+    EXPECT_EQ(one.windows * spec.impedanceScales.size() * spec.mcDraws,
+              cell_windows);
     EXPECT_EQ(one.samplesFiltered, cell_samples);
 }
 
@@ -349,40 +352,50 @@ class McFaults : public ::testing::Test
 
 TEST_F(McFaults, CellFaultOnTheEstimatingDrawFailsOnlyThatCell)
 {
-    // Draw 0 would compute its group's estimate; faulted, it leaves the
-    // estimate to draw 1, and no other cell may notice.
-    const CampaignSpec spec = mcSpec();
-    const CampaignResult clean = runFresh(spec, 1);
-    for (std::size_t jobs : {1u, 4u}) {
-        SCOPED_TRACE("jobs " + std::to_string(jobs));
-        verify::armFailPoint("campaign.cell",
-                             verify::TriggerPolicy::keyEquals(
-                                 "gzip@" + jsonNumber(1.2) + "@d0"));
-        const CampaignResult faulted = runFresh(spec, jobs);
-        verify::resetFailPoints();
-        ASSERT_EQ(faulted.cells.size(), clean.cells.size());
-        EXPECT_EQ(faulted.failedCells(), 1u);
-        const CampaignCell &hit = faulted.cells[0];
-        EXPECT_EQ(hit.benchmark, "gzip");
-        EXPECT_EQ(hit.draw, 0u);
-        EXPECT_TRUE(hit.failed);
-        EXPECT_NE(hit.error.find("injected fault (campaign.cell)"),
-                  std::string::npos);
-        for (std::size_t i = 1; i < clean.cells.size(); ++i)
-            expectSameCell(faulted.cells[i], clean.cells[i]);
+    // Draw 0 of the first scale would compute its trace's estimate for
+    // every scale; faulted, it leaves the estimate to the next draw
+    // that gets its trace, and no other cell may notice. One scale,
+    // then two, where the estimate also serves the other scale's group.
+    CampaignSpec two_scales = mcSpec();
+    two_scales.impedanceScales = {1.0, 1.2};
+    for (const CampaignSpec &spec : {mcSpec(), two_scales}) {
+        const std::string key = "gzip@" +
+                                jsonNumber(spec.impedanceScales.front()) +
+                                "@d0";
+        SCOPED_TRACE(key);
+        const CampaignResult clean = runFresh(spec, 1);
+        for (std::size_t jobs : {1u, 4u}) {
+            SCOPED_TRACE("jobs " + std::to_string(jobs));
+            verify::armFailPoint("campaign.cell",
+                                 verify::TriggerPolicy::keyEquals(key));
+            const CampaignResult faulted = runFresh(spec, jobs);
+            verify::resetFailPoints();
+            ASSERT_EQ(faulted.cells.size(), clean.cells.size());
+            EXPECT_EQ(faulted.failedCells(), 1u);
+            const CampaignCell &hit = faulted.cells[0];
+            EXPECT_EQ(hit.benchmark, "gzip");
+            EXPECT_EQ(hit.impedanceScale, spec.impedanceScales.front());
+            EXPECT_EQ(hit.draw, 0u);
+            EXPECT_TRUE(hit.failed);
+            EXPECT_NE(hit.error.find("injected fault (campaign.cell)"),
+                      std::string::npos);
+            for (std::size_t i = 1; i < clean.cells.size(); ++i)
+                expectSameCell(faulted.cells[i], clean.cells[i]);
+        }
     }
 }
 
 TEST_F(McFaults, PoolTaskFaultFailsEveryCellOfItsGroup)
 {
     // At --jobs 1 every task evaluates pool.task exactly once, in
-    // submission order: the calibration builders, one calibration task
-    // per scale, then the sweep's groups. The first group task carries
-    // all of gzip's draws, so all of them fail and nothing else does.
+    // submission order: the calibration builders, one regression-row
+    // task per training trace, one fit task per scale, then the
+    // sweep's groups. The first group task carries all of gzip's
+    // draws, so all of them fail and nothing else does.
     const CampaignSpec spec = mcSpec();
     const CampaignResult clean = runFresh(spec, 1);
     const std::size_t warmup_tasks =
-        calibrationTraceBuilders(sharedSetup()).size() +
+        2 * calibrationTraceBuilders(sharedSetup()).size() +
         spec.impedanceScales.size();
     verify::armFailPoint("pool.task",
                          verify::TriggerPolicy::nthHit(warmup_tasks + 1));

@@ -7,6 +7,7 @@
  */
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.hh"
 #include "obs/metrics.hh"
 #include "runner/campaign.hh"
 #include "runner/result_json.hh"
@@ -318,6 +320,33 @@ TEST(Campaign, ResultShapeAndCacheReuse)
     // A higher target impedance strictly degrades the voltage.
     EXPECT_GT(result.cells[1].measuredVariance,
               result.cells[0].measuredVariance);
+}
+
+TEST(Campaign, CalibrateCountersCountOneRowPassForEveryScale)
+{
+    // calibrate.models counts the fits, one per scale; calibrate.windows
+    // counts the training windows whose regression rows were extracted,
+    // once for all of the scales. Work counts carry no timing, so they
+    // read the same at any --jobs.
+    CampaignSpec spec = tinySpec();
+    spec.impedanceScales = {1.0, 1.2, 1.4};
+    std::uint64_t training_windows = 0;
+    for (const auto &build : calibrationTraceBuilders(sharedSetup()))
+        training_windows += build().size() / spec.windowLength;
+    obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
+    const obs::Counter models = registry.counter("calibrate.models");
+    const obs::Counter windows = registry.counter("calibrate.windows");
+    for (std::size_t jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const std::uint64_t models0 = models.total();
+        const std::uint64_t windows0 = windows.total();
+        TraceRepository repo(sharedSetup());
+        const CampaignResult result =
+            runCharacterizationCampaign(sharedSetup(), spec, repo, jobs);
+        EXPECT_EQ(result.failedCells(), 0u);
+        EXPECT_EQ(models.total() - models0, spec.impedanceScales.size());
+        EXPECT_EQ(windows.total() - windows0, training_windows);
+    }
 }
 
 TEST(Campaign, GenericCellFanOutPreservesIndexOrder)

@@ -551,13 +551,14 @@ TEST_F(FailPoints, ProducerFaultFailsOnlyThatBenchmarksCells)
 TEST_F(FailPoints, PoolTaskFaultLandsInTheRightCell)
 {
     // At --jobs 1 every task evaluates pool.task exactly once, in
-    // submission order: the calibration builders, one calibration task
-    // per scale, then the sweep (scale-major). Target the first sweep
-    // task; it must surface as that cell's failure via the campaign's
-    // outer future handler, not abort the run.
+    // submission order: the calibration builders, one regression-row
+    // task per training trace, one fit task per scale, then the sweep
+    // (scale-major). Target the first sweep task; it must surface as
+    // that cell's failure via the campaign's outer future handler, not
+    // abort the run.
     const CampaignSpec spec = tinySpec();
     const std::size_t warmup_tasks =
-        calibrationTraceBuilders(sharedSetup()).size() +
+        2 * calibrationTraceBuilders(sharedSetup()).size() +
         spec.impedanceScales.size();
     verify::armFailPoint(
         "pool.task",
