@@ -15,8 +15,9 @@
  *                with a content-addressed trace cache and structured
  *                JSON/CSV results
  *  - serve/    : the didt_serve daemon — characterization requests
- *                over Unix/TCP sockets, request batching, and the
- *                shared byte-budgeted trace-cache tier
+ *                over Unix/TCP sockets, each run as its own campaign
+ *                on one shared worker pool and byte-budgeted
+ *                trace-cache tier
  *  - obs/      : metrics registry, scoped timers, and Chrome trace
  *                spans across all of the above
  *  - verify/   : deterministic fault-injection failpoints and the
@@ -47,7 +48,6 @@
 #include "runner/result_json.hh"
 #include "runner/thread_pool.hh"
 #include "runner/trace_repository.hh"
-#include "serve/batch.hh"
 #include "serve/client.hh"
 #include "serve/frame.hh"
 #include "serve/protocol.hh"

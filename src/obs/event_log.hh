@@ -3,9 +3,9 @@
  * Bounded in-memory ring of structured daemon events.
  *
  * The serve daemon appends one Event per lifecycle transition
- * (request admitted/rejected/completed/failed, batch formed,
- * failpoint fired); clients read them back with the `events` request
- * and the daemon dumps the ring on SIGTERM drain. The ring is bounded:
+ * (request admitted/rejected/completed/failed, failpoint fired);
+ * clients read them back with the `events` request and the daemon
+ * dumps the ring on SIGTERM drain. The ring is bounded:
  * when capacity is reached the oldest event is dropped and a drop
  * counter incremented, so a long-lived daemon holds the most recent
  * window of activity at a fixed memory cost.
@@ -34,7 +34,7 @@ struct Event
 {
     std::uint64_t seq = 0; ///< assignment order, starts at 1
     double atMs = 0.0;     ///< milliseconds since the log's epoch
-    std::string type;      ///< e.g. "request_admitted", "batch_formed"
+    std::string type;      ///< e.g. "request_admitted", "failpoint_fired"
     std::string detail;    ///< free-form context (request id, site, ...)
 };
 

@@ -62,7 +62,7 @@ ScopedTimer::~ScopedTimer()
         TraceContext &ctx = detail::threadTraceContext();
         ctx.parentSpan = parentId_;
         sink_->record(*label_, category_, start_, end, spanId_,
-                      parentId_, ctx.requestId, ctx.batchId);
+                      parentId_, ctx.requestId);
     }
 }
 

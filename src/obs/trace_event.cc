@@ -63,15 +63,14 @@ void
 TraceEventSink::record(std::string name, std::string category,
                        Clock::time_point start, Clock::time_point end)
 {
-    record(std::move(name), std::move(category), start, end, 0, 0, {},
-           {});
+    record(std::move(name), std::move(category), start, end, 0, 0, {});
 }
 
 void
 TraceEventSink::record(std::string name, std::string category,
                        Clock::time_point start, Clock::time_point end,
                        std::uint64_t spanId, std::uint64_t parentId,
-                       std::string requestId, std::string batchId)
+                       std::string requestId)
 {
     if (!enabled())
         return;
@@ -86,7 +85,6 @@ TraceEventSink::record(std::string name, std::string category,
     event.spanId = spanId;
     event.parentId = parentId;
     event.requestId = std::move(requestId);
-    event.batchId = std::move(batchId);
     std::lock_guard<std::mutex> lock(mutex_);
     events_.push_back(std::move(event));
 }
@@ -133,7 +131,7 @@ TraceEventSink::writeChromeTrace(const std::string &path) const
         e.set("ts", event.startUs);
         e.set("dur", event.durationUs);
         if (event.spanId != 0 || event.parentId != 0 ||
-            !event.requestId.empty() || !event.batchId.empty()) {
+            !event.requestId.empty()) {
             JsonValue args = JsonValue::object();
             if (event.spanId != 0)
                 args.set("span",
@@ -143,8 +141,6 @@ TraceEventSink::writeChromeTrace(const std::string &path) const
                          static_cast<long long>(event.parentId));
             if (!event.requestId.empty())
                 args.set("request", event.requestId);
-            if (!event.batchId.empty())
-                args.set("batch", event.batchId);
             e.set("args", std::move(args));
         }
         arr.push(std::move(e));

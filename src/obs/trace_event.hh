@@ -8,13 +8,13 @@
  * (one lane per worker, one slice per cell/phase).
  *
  * Spans additionally carry a process-unique span id plus the parent
- * span id and request/batch labels taken from the calling thread's
+ * span id and request label taken from the calling thread's
  * TraceContext, so a served campaign renders as one tree per request
- * (queue-wait -> batch-merge -> per-cell execute -> serialize) rather
- * than a flat pile of global slices. The context is thread-local;
- * code that hops threads (the serve dispatcher handing work to
- * Executor pool workers) captures currentTraceContext() and re-applies
- * it on the worker via ScopedTraceContext.
+ * (request -> execute -> per-cell spans, then serialize) rather than a
+ * flat pile of global slices. The context is thread-local; code that
+ * hops threads (the Executor handing cells to its pool workers)
+ * captures currentTraceContext() and re-applies it on the worker via
+ * ScopedTraceContext.
  *
  * Collection is off by default; enable it (e.g. from --trace-out)
  * before the instrumented run. Each span costs one short mutex-guarded
@@ -46,19 +46,17 @@ struct TraceEvent
     std::uint64_t spanId = 0;   ///< process-unique id (0 = none)
     std::uint64_t parentId = 0; ///< enclosing span's id (0 = root)
     std::string requestId;      ///< serve request the span belongs to
-    std::string batchId;        ///< dispatcher batch the span belongs to
 };
 
 /**
  * Ambient per-thread span context. parentSpan is the id new spans
- * attach under; requestId/batchId label every span recorded while the
+ * attach under; requestId labels every span recorded while the
  * context is current. Default-constructed means "root, unattributed".
  */
 struct TraceContext
 {
     std::uint64_t parentSpan = 0;
     std::string requestId;
-    std::string batchId;
 };
 
 /** The calling thread's current context (default: root, no labels). */
@@ -113,13 +111,13 @@ class TraceEventSink
     /**
      * Store one complete span with explicit tree linkage: @p spanId
      * names the span, @p parentId its enclosing span (0 = root), and
-     * @p requestId / @p batchId attribute it to a serve request and
-     * dispatcher batch (empty = unattributed). No-op while disabled.
+     * @p requestId attributes it to a serve request (empty =
+     * unattributed). No-op while disabled.
      */
     void record(std::string name, std::string category,
                 Clock::time_point start, Clock::time_point end,
                 std::uint64_t spanId, std::uint64_t parentId,
-                std::string requestId, std::string batchId);
+                std::string requestId);
 
     /** Number of stored events. */
     std::size_t eventCount() const;
@@ -134,8 +132,8 @@ class TraceEventSink
      * Write the stored events as Chrome trace_event JSON
      * ({"traceEvents": [...]}; loadable in Perfetto). Events are
      * sorted by start time so output is stable for a given set of
-     * spans. Span/parent ids and request/batch labels are emitted
-     * under "args". Fatal on I/O errors.
+     * spans. Span/parent ids and request labels are emitted under
+     * "args". Fatal on I/O errors.
      */
     void writeChromeTrace(const std::string &path) const;
 

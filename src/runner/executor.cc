@@ -155,7 +155,7 @@ doubleBits(double value)
 Executor::Executor(const ExperimentSetup &setup, TraceRepository &repo,
                    std::size_t jobs)
     : setup_(setup), repo_(repo), pool_(jobs),
-      workspaces_(pool_.size() + 1)
+      workspaces_(pool_.size())
 {
     // Register every metric a run can touch now, so a sidecar carries
     // them even when every cell fails before it analyses a trace.
@@ -250,12 +250,7 @@ Executor::calibratedScales(const CampaignSpec &spec)
             obs::ScopedTraceContext scope(ctx);
             obs::ScopedTimer timer("calibrate rows", obs::Histogram{},
                                    nullptr, "campaign");
-            // A worker's own workspace; never the shared non-worker
-            // slot, which a concurrent run's caller thread may hold.
-            const std::size_t wi = ThreadPool::workerIndex();
-            AnalysisWorkspace local;
-            AnalysisWorkspace &ws =
-                wi == ThreadPool::kNotAWorker ? local : workspaces_[wi];
+            AnalysisWorkspace &ws = workspaces_[ThreadPool::workerIndex()];
             shape.regressionRows(
                 training[t],
                 std::span<double>(rows).subspan(
@@ -306,7 +301,7 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
     const Clock::time_point campaign_start = Clock::now();
 
     // Attach this run's spans under the caller-provided context (the
-    // serve dispatcher passes its batch span; batch CLI passes the
+    // daemon passes its request's execute span; batch CLI passes the
     // default root), for this thread and — via capture below — the
     // pool workers evaluating cells.
     obs::ScopedTraceContext run_context(hooks.traceContext);
@@ -319,15 +314,7 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
         plan.spec.effectiveCoreCounts();
 
     result.cells.resize(plan.cellCount());
-    if (hooks.cellCacheDeltas) {
-        hooks.cellCacheDeltas->clear();
-        hooks.cellCacheDeltas->resize(plan.cellCount());
-    }
-    std::vector<TraceCacheStats> localDeltas;
-    std::vector<TraceCacheStats> &deltas =
-        hooks.cellCacheDeltas ? *hooks.cellCacheDeltas : localDeltas;
-    if (!hooks.cellCacheDeltas)
-        deltas.resize(plan.cellCount());
+    std::vector<TraceCacheStats> deltas(plan.cellCount());
 
     // Phase 1+2: training set and per-scale calibrated models, both
     // memoized across runs. A run that arrives pre-cancelled skips
@@ -413,10 +400,7 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
         const std::size_t ti = pi * coreCounts.size() + head.coreIndex;
         pending.push_back(pool_.submit([&, first, pi, si, cores, ti] {
             obs::ScopedTraceContext cell_scope(cell_context);
-            const std::size_t wi = ThreadPool::workerIndex();
-            AnalysisWorkspace &ws =
-                workspaces_[wi == ThreadPool::kNotAWorker ? pool_.size()
-                                                          : wi];
+            AnalysisWorkspace &ws = workspaces_[ThreadPool::workerIndex()];
             const CalibratedScale &cal = *models[si];
             for (std::size_t di = 0; di < draws; ++di) {
                 const std::size_t ci = first + di;

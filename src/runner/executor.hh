@@ -67,18 +67,10 @@ struct ExecutionHooks
     const std::atomic<bool> *cancel = nullptr;
 
     /**
-     * When non-null, resized to the plan's cell count and filled with
-     * each cell's trace-cache contribution (indexed like
-     * CampaignResult::cells). Lets the daemon attribute shared-cache
-     * traffic to the requests of a merged batch.
-     */
-    std::vector<TraceCacheStats> *cellCacheDeltas = nullptr;
-
-    /**
      * Trace context the run's spans attach under. run() installs it on
      * the calling thread and re-applies it inside pool workers, so the
-     * sweep/cell spans of a served campaign nest under the daemon's
-     * batch span (and carry its request/batch labels) even though they
+     * sweep/cell spans of a served request nest under the daemon's
+     * execute span (and carry its request label) even though they
      * execute on pool threads. Default: root, unattributed — the batch
      * CLI's flat layout.
      */
@@ -152,7 +144,8 @@ class Executor
     const ExperimentSetup &setup_;
     TraceRepository &repo_;
     ThreadPool pool_;
-    /** One workspace per worker plus one for non-worker threads. */
+    /** One workspace per pool worker, indexed by workerIndex(): every
+     *  task that analyses runs on a worker of pool_. */
     std::vector<AnalysisWorkspace> workspaces_;
 
     std::mutex trainingMutex_;

@@ -31,7 +31,7 @@
  * "features" array ("watch", "events", "timings"); a didt-serve-v1
  * peer without the member supports none of them. A characterize
  * request may set "timings": true to receive a wall-time breakdown
- * (queue/merge/execute/serialize ms plus cache deltas) as a "timings"
+ * (execute/serialize ms plus the request's cache traffic) as a "timings"
  * sibling of "result" — never inside the result document, so replay
  * byte-identity is unaffected. A watch request ({"interval_ms": N,
  * "count": M}) turns the connection into a stream: the server sends
@@ -43,8 +43,8 @@
  *
  * Error codes are closed-enumeration (ErrorCode) so clients can switch
  * on them: bad_request (unparseable or invalid request — the sender's
- * fault), queue_full (typed backpressure: admission queue at capacity;
- * retry later), shutting_down (daemon is draining), internal (the
+ * fault), queue_full (typed backpressure: max_queue requests already
+ * in flight; retry later), shutting_down (daemon is draining), internal (the
  * request was valid but evaluation failed).
  */
 
@@ -71,7 +71,7 @@ inline constexpr const char *kProtocolSchema = "didt-serve-v1";
  *  characterize specs may carry cores/mixes/l2_banks/l2_bank_penalty
  *  members (N-core chip cells); "mc" means they may carry the
  *  mc_draws/mc_seed/mc_sigma_* members (variation-aware Monte Carlo
- *  cells that batch and replay byte-identically). */
+ *  cells that replay byte-identically). */
 inline constexpr const char *kProtocolFeatures[] = {"chip", "events",
                                                     "mc", "timings",
                                                     "watch"};
@@ -80,7 +80,7 @@ inline constexpr const char *kProtocolFeatures[] = {"chip", "events",
 enum class ErrorCode
 {
     BadRequest,   ///< malformed or invalid request payload
-    QueueFull,    ///< admission queue at capacity (backpressure)
+    QueueFull,    ///< max_queue requests in flight (backpressure)
     ShuttingDown, ///< daemon is draining; no new work accepted
     Internal,     ///< valid request, evaluation failed
 };

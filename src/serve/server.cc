@@ -19,7 +19,6 @@
 #include "obs/scoped_timer.hh"
 #include "runner/plan.hh"
 #include "runner/result_json.hh"
-#include "serve/batch.hh"
 #include "util/logging.hh"
 #include "verify/failpoint.hh"
 
@@ -39,11 +38,8 @@ struct ServeMetrics
     obs::Counter requests;
     obs::Counter rejected;
     obs::Counter badRequests;
-    obs::Counter batches;
-    obs::Gauge queueDepth;
+    obs::Gauge queueDepth; ///< characterize requests in flight
     obs::Histogram requestMs;
-    obs::Histogram queueMs;
-    obs::Histogram mergeMs;
     obs::Histogram executeMs;
     obs::Histogram serializeMs;
 };
@@ -57,11 +53,8 @@ serveMetrics()
         registry.counter("serve.requests"),
         registry.counter("serve.rejected"),
         registry.counter("serve.bad_requests"),
-        registry.counter("serve.batches"),
         registry.gauge("serve.queue_depth"),
         registry.histogram("serve.request_ms"),
-        registry.histogram("serve.queue_ms"),
-        registry.histogram("serve.merge_ms"),
         registry.histogram("serve.execute_ms"),
         registry.histogram("serve.serialize_ms"),
     };
@@ -83,14 +76,33 @@ eventId(const std::string &id)
     return id.empty() ? "-" : id;
 }
 
+/**
+ * Run @p phase under a "serve" span named @p label (a child of the
+ * calling thread's current span) and return its wall milliseconds,
+ * also observed into @p histogram.
+ */
+template <typename Phase>
+double
+timedPhase(const char *label, obs::Histogram &histogram, Phase &&phase)
+{
+    const std::chrono::steady_clock::time_point start =
+        std::chrono::steady_clock::now();
+    {
+        obs::ScopedTimer span(label, {}, nullptr, "serve");
+        phase();
+    }
+    const double ms =
+        millisBetween(start, std::chrono::steady_clock::now());
+    histogram.observe(ms);
+    return ms;
+}
+
 /** The optional "timings" sibling of a result response. */
 JsonValue
-requestTimingsJson(double queueMs, double mergeMs, double executeMs,
-                   double serializeMs, const TraceCacheStats &cache)
+requestTimingsJson(double executeMs, double serializeMs,
+                   const TraceCacheStats &cache)
 {
     JsonValue timings = JsonValue::object();
-    timings.set("queue_ms", queueMs);
-    timings.set("merge_ms", mergeMs);
     timings.set("execute_ms", executeMs);
     timings.set("serialize_ms", serializeMs);
     JsonValue cache_json = JsonValue::object();
@@ -242,7 +254,6 @@ Server::start(std::string *error)
     // a time); wait() removes it.
     verify::setFailPointObserver(&failPointFired, &events_);
     acceptor_ = std::thread([this] { acceptorLoop(); });
-    dispatcher_ = std::thread([this] { dispatcherLoop(); });
     if (!config_.metricsOut.empty())
         metricsThread_ = std::thread([this] { metricsLoop(); });
     return true;
@@ -252,13 +263,12 @@ void
 Server::requestStop()
 {
     {
-        std::lock_guard<std::mutex> lock(queueMutex_);
+        std::lock_guard<std::mutex> lock(admissionMutex_);
         if (draining_)
             return;
         draining_ = true;
     }
     drainingFlag_.store(true, std::memory_order_relaxed);
-    queueCv_.notify_all();
     {
         std::lock_guard<std::mutex> lock(stopMutex_);
         stopRequested_ = true;
@@ -283,16 +293,14 @@ Server::wait()
         return;
     if (acceptor_.joinable())
         acceptor_.join();
-    // The dispatcher drains every admitted job before exiting, which
-    // unblocks the connection threads waiting on responses.
-    if (dispatcher_.joinable())
-        dispatcher_.join();
     {
-        // Splice the list out and join without the lock: an exiting
-        // connection thread takes connMutex_ to close its fd, so
-        // joining it while holding the lock would deadlock. Splicing
-        // keeps the Connection nodes at stable addresses for the
-        // threads still running their epilogue.
+        // Each connection thread finishes the request it has admitted
+        // and writes its response before it exits. Splice the list out
+        // and join without the lock: an exiting connection thread takes
+        // connMutex_ to close its fd, so joining it while holding the
+        // lock would deadlock. Splicing keeps the Connection nodes at
+        // stable addresses for the threads still running their
+        // epilogue.
         std::list<Connection> remaining;
         {
             std::lock_guard<std::mutex> lock(connMutex_);
@@ -345,7 +353,7 @@ Server::acceptorLoop()
 
     for (;;) {
         {
-            std::lock_guard<std::mutex> lock(queueMutex_);
+            std::lock_guard<std::mutex> lock(admissionMutex_);
             if (draining_)
                 return;
         }
@@ -444,10 +452,9 @@ Server::connectionLoop(Connection *conn)
             // Root span of the request's trace tree: the context is
             // installed first so the span carries the request id, and
             // the span then parents everything the request does
-            // (queue wait, batch, cells, serialize) — including work
-            // on dispatcher/pool threads, via Job::ctx.
-            obs::ScopedTraceContext request_scope(
-                {0, request.id, {}});
+            // (execute, cells, serialize) — including the cells on
+            // pool threads, via ExecutionHooks::traceContext.
+            obs::ScopedTraceContext request_scope({0, request.id});
             obs::ScopedTimer timer("request", serveMetrics().requestMs,
                                    nullptr, "serve");
             switch (request.type) {
@@ -494,10 +501,8 @@ Server::connectionLoop(Connection *conn)
 std::string
 Server::serveCharacterize(const Request &request)
 {
-    std::future<std::string> pending;
-    std::string key = batchKey(request.spec);
     {
-        std::lock_guard<std::mutex> lock(queueMutex_);
+        std::lock_guard<std::mutex> lock(admissionMutex_);
         if (draining_) {
             rejectedDraining_.fetch_add(1);
             serveMetrics().rejected.add(1);
@@ -507,7 +512,7 @@ Server::serveCharacterize(const Request &request)
                                      ErrorCode::ShuttingDown,
                                      "daemon is draining");
         }
-        if (queue_.size() >= config_.maxQueue) {
+        if (inFlight_ >= config_.maxQueue) {
             rejectedQueueFull_.fetch_add(1);
             serveMetrics().rejected.add(1);
             events_.append("request_rejected",
@@ -515,28 +520,63 @@ Server::serveCharacterize(const Request &request)
             return errorResponseJson(
                 request.id, ErrorCode::QueueFull,
                 "admission queue is full (" +
-                    std::to_string(queue_.size()) +
-                    " queued); retry later");
+                    std::to_string(inFlight_) +
+                    " in flight); retry later");
         }
-        Job job;
-        job.id = request.id;
-        job.spec = request.spec;
-        job.key = std::move(key);
-        job.admitted = Clock::now();
-        job.wantTimings = request.wantTimings;
-        // The connection thread's context: parentSpan is the request's
-        // root span, so dispatcher-side spans nest under it.
-        job.ctx = obs::currentTraceContext();
-        pending = job.response.get_future();
-        events_.append("request_admitted",
-                       eventId(request.id) + " key=" + job.key);
-        queue_.push_back(std::move(job));
-        serveMetrics().queueDepth.record(
-            static_cast<double>(queue_.size()));
+        ++inFlight_;
+        serveMetrics().queueDepth.record(static_cast<double>(inFlight_));
+        events_.append("request_admitted", eventId(request.id));
         characterizations_.fetch_add(1);
     }
-    queueCv_.notify_one();
-    return pending.get();
+
+    std::string response;
+    try {
+        const CampaignPlan plan = buildCampaignPlan(request.spec);
+        CampaignResult result;
+        const double executeMs =
+            timedPhase("execute", serveMetrics().executeMs, [&] {
+                // The execute span parents the run's sweep and cell
+                // spans, pool threads included.
+                ExecutionHooks hooks;
+                hooks.traceContext = obs::currentTraceContext();
+                result = executor_->run(plan, hooks);
+            });
+        JsonValue resultJson;
+        const double serializeMs =
+            timedPhase("serialize", serveMetrics().serializeMs,
+                       [&] { resultJson = campaignToJson(result); });
+        // Log completion before the response is written so a client
+        // that has seen its result always finds the event on a
+        // subsequent `events` query (matches the failure path).
+        events_.append("request_completed", eventId(request.id));
+        if (request.wantTimings) {
+            const JsonValue timings = requestTimingsJson(
+                executeMs, serializeMs, result.cacheStats);
+            response = resultResponseJson(request.id,
+                                          std::move(resultJson), &timings);
+        } else {
+            response =
+                resultResponseJson(request.id, std::move(resultJson));
+        }
+    } catch (const std::exception &e) {
+        // Executor-level failures (cell-level faults land in the
+        // result, not here) fail the request, not the daemon.
+        // std::invalid_argument means the spec cannot be evaluated at
+        // all (e.g. a window too long to calibrate): the request is at
+        // fault, not the daemon.
+        const ErrorCode code =
+            dynamic_cast<const std::invalid_argument *>(&e) != nullptr
+                ? ErrorCode::BadRequest
+                : ErrorCode::Internal;
+        events_.append("request_failed",
+                       eventId(request.id) + " " + std::string(e.what()));
+        response = errorResponseJson(request.id, code, e.what());
+    }
+
+    std::lock_guard<std::mutex> lock(admissionMutex_);
+    --inFlight_;
+    serveMetrics().queueDepth.record(static_cast<double>(inFlight_));
+    return response;
 }
 
 bool
@@ -621,14 +661,12 @@ Server::watchStatsJson(double elapsedMs,
               static_cast<long long>(activeConnections_.load()));
     stats.set("watchers", static_cast<long long>(watchers_.load()));
     {
-        std::lock_guard<std::mutex> lock(queueMutex_);
-        stats.set("queue_depth",
-                  static_cast<long long>(queue_.size()));
+        std::lock_guard<std::mutex> lock(admissionMutex_);
+        stats.set("queue_depth", static_cast<long long>(inFlight_));
     }
     stats.set("requests", static_cast<long long>(requests_.load()));
     stats.set("characterizations",
               static_cast<long long>(characterizations_.load()));
-    stats.set("batches", static_cast<long long>(batches_.load()));
 
     const obs::MetricSnapshot *cells = current.find("campaign.cells");
     stats.set("cells_done",
@@ -658,162 +696,6 @@ Server::watchStatsJson(double elapsedMs,
     stats.set("request_ms_p99",
               requestMs ? requestMs->histogram.quantile(0.99) : 0.0);
     return stats;
-}
-
-void
-Server::dispatcherLoop()
-{
-    for (;;) {
-        std::vector<Job> batch;
-        {
-            std::unique_lock<std::mutex> lock(queueMutex_);
-            queueCv_.wait(lock, [this] {
-                return !queue_.empty() || draining_;
-            });
-            if (queue_.empty()) {
-                if (draining_)
-                    return;
-                continue;
-            }
-            // Take the head, then every queued job that can batch
-            // with it (first-come order preserved within the batch).
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-            const std::string &key = batch.front().key;
-            for (auto it = queue_.begin(); it != queue_.end();) {
-                if (it->key == key) {
-                    batch.push_back(std::move(*it));
-                    it = queue_.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-            serveMetrics().queueDepth.record(
-                static_cast<double>(queue_.size()));
-        }
-        runBatch(std::move(batch));
-    }
-}
-
-void
-Server::runBatch(std::vector<Job> batch)
-{
-    const Clock::time_point popped = Clock::now();
-    obs::TraceEventSink &sink = obs::TraceEventSink::global();
-    const std::uint64_t batchNumber = batches_.fetch_add(1) + 1;
-    serveMetrics().batches.add(1);
-    const std::string batchId =
-        "batch-" + std::to_string(batchNumber);
-    const Job &lead = batch.front();
-    events_.append("batch_formed",
-                   batchId + " size=" + std::to_string(batch.size()) +
-                       " key=" + lead.key);
-
-    // Queue-wait attribution: one value per member, measured from its
-    // own admission to this pop. Each request's queue_wait span hangs
-    // off that request's root span, not the batch.
-    std::vector<double> queueMs(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        queueMs[i] = millisBetween(batch[i].admitted, popped);
-        serveMetrics().queueMs.observe(queueMs[i]);
-        if (sink.enabled())
-            sink.record("queue_wait", "serve", batch[i].admitted,
-                        popped, obs::newSpanId(),
-                        batch[i].ctx.parentSpan,
-                        batch[i].ctx.requestId, batchId);
-    }
-
-    // The batch span parents the merge/execute phases and — through
-    // ExecutionHooks::traceContext — the executor's sweep and cell
-    // spans; it itself hangs off the lead request's root span.
-    const std::uint64_t batchSpan =
-        sink.enabled() ? obs::newSpanId() : 0;
-    obs::ScopedTraceContext batch_scope(
-        {batchSpan, lead.ctx.requestId, batchId});
-
-    std::vector<CampaignSpec> specs;
-    specs.reserve(batch.size());
-    for (const Job &job : batch)
-        specs.push_back(job.spec);
-
-    try {
-        const Clock::time_point mergeStart = Clock::now();
-        const CampaignSpec merged = mergeSpecs(specs);
-        const CampaignPlan plan = buildCampaignPlan(merged);
-        const Clock::time_point mergeEnd = Clock::now();
-        const double mergeMs = millisBetween(mergeStart, mergeEnd);
-        serveMetrics().mergeMs.observe(mergeMs);
-        if (batchSpan != 0)
-            sink.record("merge", "serve", mergeStart, mergeEnd,
-                        obs::newSpanId(), batchSpan,
-                        lead.ctx.requestId, batchId);
-
-        std::vector<TraceCacheStats> deltas;
-        ExecutionHooks hooks;
-        hooks.cellCacheDeltas = &deltas;
-        hooks.traceContext = obs::currentTraceContext();
-        const Clock::time_point executeStart = Clock::now();
-        const CampaignResult result = executor_->run(plan, hooks);
-        const Clock::time_point executeEnd = Clock::now();
-        const double executeMs =
-            millisBetween(executeStart, executeEnd);
-        serveMetrics().executeMs.observe(executeMs);
-        if (batchSpan != 0)
-            sink.record("execute", "serve", executeStart, executeEnd,
-                        obs::newSpanId(), batchSpan,
-                        lead.ctx.requestId, batchId);
-
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            Job &job = batch[i];
-            const Clock::time_point serializeStart = Clock::now();
-            const CampaignResult sliced =
-                sliceResult(result, deltas, job.spec);
-            JsonValue resultJson = campaignToJson(sliced);
-            const Clock::time_point serializeEnd = Clock::now();
-            const double serializeMs =
-                millisBetween(serializeStart, serializeEnd);
-            serveMetrics().serializeMs.observe(serializeMs);
-            if (sink.enabled())
-                sink.record("serialize", "serve", serializeStart,
-                            serializeEnd, obs::newSpanId(),
-                            job.ctx.parentSpan, job.ctx.requestId,
-                            batchId);
-            // Log completion before releasing the response so a client
-            // that has seen its result always finds the event on a
-            // subsequent `events` query (matches the failure path).
-            events_.append("request_completed",
-                           eventId(job.id) + " " + batchId);
-            if (job.wantTimings) {
-                const JsonValue timings = requestTimingsJson(
-                    queueMs[i], mergeMs, executeMs, serializeMs,
-                    sliced.cacheStats);
-                job.response.set_value(resultResponseJson(
-                    job.id, std::move(resultJson), &timings));
-            } else {
-                job.response.set_value(resultResponseJson(
-                    job.id, std::move(resultJson)));
-            }
-        }
-    } catch (const std::exception &e) {
-        // Executor-level failures (cell-level faults land in the
-        // result, not here) fail the batch's requests, not the daemon.
-        // std::invalid_argument means the spec cannot be evaluated at
-        // all (e.g. a window too long to calibrate): the request is at
-        // fault, not the daemon.
-        const ErrorCode code =
-            dynamic_cast<const std::invalid_argument *>(&e) != nullptr
-                ? ErrorCode::BadRequest
-                : ErrorCode::Internal;
-        for (Job &job : batch) {
-            events_.append("request_failed",
-                           eventId(job.id) + " " + std::string(e.what()));
-            job.response.set_value(
-                errorResponseJson(job.id, code, e.what()));
-        }
-    }
-    if (batchSpan != 0)
-        sink.record("batch", "serve", popped, Clock::now(), batchSpan,
-                    lead.ctx.parentSpan, lead.ctx.requestId, batchId);
 }
 
 void
@@ -851,11 +733,9 @@ Server::statsJson() const
               static_cast<long long>(rejectedDraining_.load()));
     stats.set("bad_requests",
               static_cast<long long>(badRequests_.load()));
-    stats.set("batches", static_cast<long long>(batches_.load()));
     {
-        std::lock_guard<std::mutex> lock(queueMutex_);
-        stats.set("queue_depth",
-                  static_cast<long long>(queue_.size()));
+        std::lock_guard<std::mutex> lock(admissionMutex_);
+        stats.set("queue_depth", static_cast<long long>(inFlight_));
         stats.set("max_queue",
                   static_cast<long long>(config_.maxQueue));
     }

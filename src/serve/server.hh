@@ -6,25 +6,26 @@
  * calibrated-model cache) and one long-lived TraceRepository (the
  * shared cross-request cache tier: byte-budgeted in-memory LRU plus
  * the optional disk tier), accepts didt-serve-v1 requests over Unix
- * and/or TCP stream sockets, and evaluates them through the same
- * plan/execute path as batch didt_campaign — so a served result is
- * byte-identical to a batch result for the same spec.
+ * and/or TCP stream sockets, and evaluates each characterize request
+ * as one Executor::run of its own spec — the code batch didt_campaign
+ * runs — so a served result is byte-identical to a batch result for
+ * the same spec.
  *
  * Threading model:
  *  - an acceptor thread polls the listening sockets (plus a self-pipe
  *    for wakeups) and spawns one thread per connection;
- *  - connection threads read frames, answer ping/stats inline, and
- *    enqueue characterize requests on the bounded admission queue,
- *    blocking until the response is ready (each connection runs its
- *    requests in order and is the sole writer of its socket);
- *  - a dispatcher thread pops the queue, merges every batchable
- *    request it can see into one campaign (serve/batch.hh), runs it on
- *    the executor, and fulfills each request with its sliced result.
+ *  - connection threads read frames and answer each request in order
+ *    (each is the sole writer of its socket): ping/stats/events
+ *    inline, and an admitted characterize request by planning it,
+ *    running it on the executor's shared pool, and serializing the
+ *    result, all on the connection thread. Concurrent requests'
+ *    tasks interleave on the pool in its FIFO order, and the shared
+ *    repository simulates each trace once however many ask for it.
  *
- * Admission control: the queue is bounded by maxQueue; a request that
- * arrives when it is full is rejected immediately with the typed
- * queue_full error — backpressure is explicit, never an OOM or an
- * unbounded latency tail.
+ * Admission control: at most maxQueue characterize requests are in
+ * flight (admitted, not yet answered); one that arrives beyond that is
+ * rejected immediately with the typed queue_full error — backpressure
+ * is explicit, never an OOM or an unbounded latency tail.
  *
  * Shutdown: requestStop() begins a graceful drain — listeners close,
  * idle connections are shut down, requests already admitted run to
@@ -45,14 +46,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/experiment.hh"
 #include "obs/event_log.hh"
@@ -82,8 +80,9 @@ struct ServerConfig
     /** TCP bind address. */
     std::string tcpHost = "127.0.0.1";
 
-    /** Admission-queue capacity; a characterize request arriving when
-     *  this many are queued is rejected with queue_full. */
+    /** Admission bound: a characterize request arriving when this
+     *  many are in flight (admitted, not yet answered) is rejected
+     *  with queue_full. */
     std::size_t maxQueue = 64;
 
     /** Trace-cache memory budget in bytes (0 = unlimited). */
@@ -111,7 +110,7 @@ struct ServerConfig
     std::size_t eventCapacity = 1024;
 };
 
-/** The daemon: listeners + admission queue + dispatcher + executor. */
+/** The daemon: listeners + admission control + executor. */
 class Server
 {
   public:
@@ -148,23 +147,11 @@ class Server
     /** Daemon counters as the "stats" response payload. */
     JsonValue statsJson() const;
 
-    /** The bounded daemon-event ring (admissions, batches, faults). */
+    /** The bounded daemon-event ring (admissions, completions, faults). */
     const obs::EventLog &events() const { return events_; }
 
   private:
     using Clock = std::chrono::steady_clock;
-
-    /** One admitted characterize request awaiting execution. */
-    struct Job
-    {
-        std::string id;
-        CampaignSpec spec;
-        std::string key; ///< batchKey(spec)
-        std::promise<std::string> response;
-        Clock::time_point admitted;  ///< queue-wait start
-        bool wantTimings = false;    ///< echo a "timings" breakdown
-        obs::TraceContext ctx;       ///< request span / id for nesting
-    };
 
     /** One live client connection. */
     struct Connection
@@ -176,15 +163,11 @@ class Server
 
     void acceptorLoop();
     void connectionLoop(Connection *conn);
-    void dispatcherLoop();
     void metricsLoop();
 
-    /** Run one merged batch and fulfill every member's promise. */
-    void runBatch(std::vector<Job> batch);
-
     /**
-     * Admit a characterize request, block until served, and return the
-     * response payload (a result or a typed error; never throws).
+     * Admit a characterize request, run it on this thread, and return
+     * the response payload (a result or a typed error; never throws).
      */
     std::string serveCharacterize(const Request &request);
 
@@ -216,13 +199,12 @@ class Server
     int wakePipe_[2] = {-1, -1};
 
     std::thread acceptor_;
-    std::thread dispatcher_;
     std::thread metricsThread_;
 
-    mutable std::mutex queueMutex_;
-    std::condition_variable queueCv_;
-    std::deque<Job> queue_;
+    mutable std::mutex admissionMutex_;
     bool draining_ = false;
+    /** Characterize requests admitted and not yet answered. */
+    std::size_t inFlight_ = 0;
     /** Mirrors draining_ for lock-free polls (watch ticks). */
     std::atomic<bool> drainingFlag_{false};
 
@@ -238,7 +220,6 @@ class Server
     std::atomic<std::uint64_t> rejectedQueueFull_{0};
     std::atomic<std::uint64_t> rejectedDraining_{0};
     std::atomic<std::uint64_t> badRequests_{0};
-    std::atomic<std::uint64_t> batches_{0};
     std::atomic<std::uint64_t> connectionsAccepted_{0};
     std::atomic<std::uint64_t> droppedConnections_{0};
     std::atomic<std::uint64_t> activeConnections_{0};

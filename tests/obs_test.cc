@@ -344,7 +344,7 @@ TEST(TraceContext, PropagatesAcrossThreads)
     obs::TraceEventSink sink;
     sink.setEnabled(true);
     {
-        obs::ScopedTraceContext request({0, "req-42", ""});
+        obs::ScopedTraceContext request({0, "req-42"});
         obs::ScopedTimer root("request", obs::Histogram{}, &sink);
         // Capture on the dispatching thread, re-apply in the worker —
         // exactly what the executor pool does for cell tasks.
@@ -373,10 +373,9 @@ TEST(TraceContext, RestoredOnScopeExit)
     const obs::TraceContext &outer = obs::currentTraceContext();
     EXPECT_EQ(outer.requestId, "");
     {
-        obs::ScopedTraceContext scope({7, "inner-req", "batch-9"});
+        obs::ScopedTraceContext scope({7, "inner-req"});
         EXPECT_EQ(obs::currentTraceContext().parentSpan, 7u);
         EXPECT_EQ(obs::currentTraceContext().requestId, "inner-req");
-        EXPECT_EQ(obs::currentTraceContext().batchId, "batch-9");
     }
     EXPECT_EQ(obs::currentTraceContext().parentSpan, 0u);
     EXPECT_EQ(obs::currentTraceContext().requestId, "");
@@ -425,7 +424,7 @@ TEST(TraceEventSink, ChromeTraceCarriesSpanArgs)
     obs::TraceEventSink sink;
     sink.setEnabled(true);
     {
-        obs::ScopedTraceContext scope({0, "req-7", "batch-3"});
+        obs::ScopedTraceContext scope({0, "req-7"});
         obs::ScopedTimer timer("work", obs::Histogram{}, &sink);
     }
     const std::string path =
@@ -437,7 +436,6 @@ TEST(TraceEventSink, ChromeTraceCarriesSpanArgs)
     ASSERT_NE(args, nullptr);
     EXPECT_GT(args->find("span")->asNumber(), 0.0);
     EXPECT_EQ(args->find("request")->asString(), "req-7");
-    EXPECT_EQ(args->find("batch")->asString(), "batch-3");
 }
 
 TEST(MetricsSnapshot, JsonRoundTripsThroughParser)

@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the runner subsystem: ThreadPool exception
  * propagation and ordering, TraceRepository hit/miss accounting and
- * disk persistence, campaign result shape, and the JSON document
- * model (escaping, round-trip, strict parsing).
+ * disk persistence, campaign result shape, concurrent runs on one
+ * Executor, and the JSON document model (escaping, round-trip, strict
+ * parsing).
  */
 
 #include <atomic>
@@ -13,8 +14,10 @@
 #include <fstream>
 #include <limits>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +25,8 @@
 #include "core/experiment.hh"
 #include "obs/metrics.hh"
 #include "runner/campaign.hh"
+#include "runner/executor.hh"
+#include "runner/plan.hh"
 #include "runner/result_json.hh"
 #include "runner/thread_pool.hh"
 #include "runner/trace_repository.hh"
@@ -347,6 +352,52 @@ TEST(Campaign, CalibrateCountersCountOneRowPassForEveryScale)
         EXPECT_EQ(models.total() - models0, spec.impedanceScales.size());
         EXPECT_EQ(windows.total() - windows0, training_windows);
     }
+}
+
+/** The members of a result that depend only on its spec. */
+std::string
+evaluatedBytes(const CampaignResult &result)
+{
+    const JsonValue doc = campaignToJson(result);
+    std::ostringstream out;
+    for (const char *member : {"spec", "cells", "rms_estimation_error_pct"})
+        doc.find(member)->write(out);
+    return out.str();
+}
+
+TEST(Campaign, ConcurrentRunsOnOneExecutorMatchSoloRuns)
+{
+    // Two runs at once on one pool and one repository, sharing the
+    // cell-a trace but not the analysis window: each result is what a
+    // solo run writes, and the shared trace is simulated once.
+    CampaignSpec a = tinySpec();
+    CampaignSpec b = tinySpec();
+    b.profiles = {tinyProfile("cell-a", 21), tinyProfile("cell-c", 23)};
+    b.windowLength = 128;
+    const std::vector<CampaignSpec> specs{a, b};
+
+    std::vector<std::string> solo;
+    for (const CampaignSpec &spec : specs) {
+        TraceRepository repo(sharedSetup());
+        solo.push_back(evaluatedBytes(
+            runCharacterizationCampaign(sharedSetup(), spec, repo, 1)));
+    }
+
+    TraceRepository repo(sharedSetup());
+    Executor executor(sharedSetup(), repo, 2);
+    std::vector<CampaignResult> results(specs.size());
+    std::vector<std::thread> callers;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        callers.emplace_back([&, i] {
+            results[i] = executor.run(buildCampaignPlan(specs[i]));
+        });
+    for (std::thread &caller : callers)
+        caller.join();
+
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        EXPECT_EQ(evaluatedBytes(results[i]), solo[i]) << "spec " << i;
+    EXPECT_EQ(repo.stats().simulations, 3u)
+        << "cell-a, cell-b and cell-c, each simulated once";
 }
 
 TEST(Campaign, GenericCellFanOutPreservesIndexOrder)

@@ -2,11 +2,11 @@
  * @file
  * Tests for the didt_serve subsystem: the frame codec (golden bytes,
  * incremental decode, strict rejection of malformed/oversized input),
- * the didt-serve-v1 request schema, batching (key compatibility, spec
- * merging, result slicing), and the live daemon — batch-vs-service
- * byte identity, queue-full backpressure, shared-cache single-flight
- * across concurrent clients, and fault injection on the socket paths
- * (faults become per-request errors, never daemon crashes).
+ * the didt-serve-v1 request schema, and the live daemon —
+ * batch-vs-service byte identity and work counts, queue-full
+ * backpressure, shared-cache single-flight across concurrent clients,
+ * and fault injection on the socket paths (faults become per-request
+ * errors, never daemon crashes).
  */
 
 #include <algorithm>
@@ -26,12 +26,12 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
+#include "obs/metrics.hh"
 #include "runner/campaign.hh"
 #include "runner/executor.hh"
 #include "runner/plan.hh"
 #include "runner/result_json.hh"
 #include "runner/trace_repository.hh"
-#include "serve/batch.hh"
 #include "serve/client.hh"
 #include "serve/frame.hh"
 #include "serve/protocol.hh"
@@ -334,70 +334,6 @@ TEST(EventLog, SinceCursorAndLimitPaginate)
 }
 
 // ---------------------------------------------------------------------------
-// Batching
-// ---------------------------------------------------------------------------
-
-TEST(Batch, KeyIgnoresCellSetButNotAnalysisConfig)
-{
-    CampaignSpec a = smallSpec();
-    CampaignSpec b = smallSpec();
-    b.profiles = {profileByName("art")};
-    b.impedanceScales = {1.5};
-    EXPECT_EQ(serve::batchKey(a), serve::batchKey(b))
-        << "cell set must not affect batchability";
-
-    CampaignSpec c = smallSpec();
-    c.windowLength = 128;
-    EXPECT_NE(serve::batchKey(a), serve::batchKey(c));
-    CampaignSpec d = smallSpec();
-    d.useCorrelation = false;
-    EXPECT_NE(serve::batchKey(a), serve::batchKey(d));
-}
-
-TEST(Batch, MergeUnionsInFirstAppearanceOrder)
-{
-    CampaignSpec a = smallSpec(); // gzip, mcf x 1.0, 1.2
-    CampaignSpec b = smallSpec();
-    b.profiles = {profileByName("mcf"), profileByName("art")};
-    b.impedanceScales = {1.2, 1.5};
-    const CampaignSpec merged = serve::mergeSpecs({a, b});
-    ASSERT_EQ(merged.profiles.size(), 3u);
-    EXPECT_EQ(merged.profiles[0].name, "gzip");
-    EXPECT_EQ(merged.profiles[1].name, "mcf");
-    EXPECT_EQ(merged.profiles[2].name, "art");
-    EXPECT_EQ(merged.impedanceScales,
-              (std::vector<double>{1.0, 1.2, 1.5}));
-}
-
-TEST(Batch, SlicedResultMatchesStandaloneRunByteForByte)
-{
-    // Run the merged campaign once on a shared executor...
-    CampaignSpec merged_request = smallSpec();
-    TraceRepository shared_repo(sharedSetup());
-    Executor executor(sharedSetup(), shared_repo, 2);
-    std::vector<TraceCacheStats> deltas;
-    ExecutionHooks hooks;
-    hooks.cellCacheDeltas = &deltas;
-    const CampaignResult merged =
-        executor.run(buildCampaignPlan(merged_request), hooks);
-
-    // ...slice out a one-benchmark request...
-    CampaignSpec request = smallSpec();
-    request.profiles = {profileByName("mcf")};
-    const CampaignResult sliced =
-        serve::sliceResult(merged, deltas, request);
-
-    // ...and demand the bytes of a standalone run of that request.
-    TraceRepository fresh_repo(sharedSetup());
-    const CampaignResult standalone = runCharacterizationCampaign(
-        sharedSetup(), request, fresh_repo, 1);
-    std::ostringstream sliced_json, standalone_json;
-    campaignToJson(sliced).write(sliced_json);
-    campaignToJson(standalone).write(standalone_json);
-    EXPECT_EQ(sliced_json.str(), standalone_json.str());
-}
-
-// ---------------------------------------------------------------------------
 // The daemon
 // ---------------------------------------------------------------------------
 
@@ -471,34 +407,72 @@ TEST(Server, PingOverEphemeralTcpPort)
     EXPECT_EQ(parseResponse(response).find("type")->asString(), "pong");
 }
 
+/** Totals of the work counters, which carry no timing. */
+std::vector<std::uint64_t>
+workCounts()
+{
+    std::vector<std::uint64_t> totals;
+    for (const char *name : {"analysis.windows", "analysis.samples_filtered",
+                             "calibrate.models", "calibrate.windows"})
+        totals.push_back(
+            obs::MetricsRegistry::global().counter(name).total());
+    return totals;
+}
+
+/** workCounts() minus @p before. */
+std::vector<std::uint64_t>
+workSince(const std::vector<std::uint64_t> &before)
+{
+    std::vector<std::uint64_t> delta = workCounts();
+    for (std::size_t i = 0; i < delta.size(); ++i)
+        delta[i] -= before[i];
+    return delta;
+}
+
 TEST(Server, ServedResultIsByteIdenticalToBatchCampaign)
 {
-    const CampaignSpec spec = smallSpec();
+    // The second spec repeats a benchmark and a scale: its cache
+    // section counts every one of its cells' lookups, as the batch
+    // run does.
+    CampaignSpec repeated = smallSpec();
+    repeated.profiles = {profileByName("gzip"), profileByName("mcf"),
+                         profileByName("gzip")};
+    repeated.impedanceScales = {1.0, 1.2, 1.0};
+    const std::vector<CampaignSpec> specs{smallSpec(), repeated};
+    for (std::size_t si = 0; si < specs.size(); ++si) {
+        SCOPED_TRACE("spec " + std::to_string(si));
+        const CampaignSpec &spec = specs[si];
+        // Reference: the batch path at --jobs 1 with a fresh repository.
+        const std::vector<std::uint64_t> batch_start = workCounts();
+        TraceRepository batch_repo(sharedSetup());
+        const CampaignResult batch = runCharacterizationCampaign(
+            sharedSetup(), spec, batch_repo, 1);
+        const std::vector<std::uint64_t> batch_work =
+            workSince(batch_start);
+        std::ostringstream batch_json;
+        campaignToJson(batch).write(batch_json);
 
-    // Reference: the batch path at --jobs 1 with a fresh repository.
-    TraceRepository batch_repo(sharedSetup());
-    const CampaignResult batch = runCharacterizationCampaign(
-        sharedSetup(), spec, batch_repo, 1);
-    std::ostringstream batch_json;
-    campaignToJson(batch).write(batch_json);
+        // Service path: a fresh daemon per spec, a different job count.
+        serve::ServerConfig config;
+        config.unixPath = testSocketPath("ident");
+        config.jobs = 2;
+        serve::Server server(sharedSetup(), config);
+        std::string error;
+        ASSERT_TRUE(server.start(&error)) << error;
 
-    // Service path: different job count, shared daemon repository.
-    serve::ServerConfig config;
-    config.unixPath = testSocketPath("ident");
-    config.jobs = 2;
-    serve::Server server(sharedSetup(), config);
-    std::string error;
-    ASSERT_TRUE(server.start(&error)) << error;
-
-    const JsonValue response = parseResponse(
-        callServer(config.unixPath,
-                   serve::characterizeRequestJson(
-                       "c1", campaignSpecToJson(spec))));
-    ASSERT_EQ(response.find("type")->asString(), "result")
-        << response.dump();
-    std::ostringstream served_json;
-    response.find("result")->write(served_json);
-    EXPECT_EQ(served_json.str(), batch_json.str());
+        const std::vector<std::uint64_t> served_start = workCounts();
+        const JsonValue response = parseResponse(
+            callServer(config.unixPath,
+                       serve::characterizeRequestJson(
+                           "c1", campaignSpecToJson(spec))));
+        ASSERT_EQ(response.find("type")->asString(), "result")
+            << response.dump();
+        std::ostringstream served_json;
+        response.find("result")->write(served_json);
+        EXPECT_EQ(served_json.str(), batch_json.str());
+        // Both paths estimate, filter and calibrate the same work.
+        EXPECT_EQ(workSince(served_start), batch_work);
+    }
 }
 
 TEST(Server, ZeroCapacityQueueRejectsWithTypedBackpressure)
@@ -519,6 +493,28 @@ TEST(Server, ZeroCapacityQueueRejectsWithTypedBackpressure)
     EXPECT_EQ(response.find("error")->find("code")->asString(),
               "queue_full");
     EXPECT_EQ(response.find("id")->asString(), "q1");
+    server.requestStop();
+    server.wait();
+
+    // With room for one request in flight, requests sent one after the
+    // other on one connection are all admitted: each answer releases
+    // its slot for the next.
+    config.maxQueue = 1;
+    serve::Server one(sharedSetup(), config);
+    ASSERT_TRUE(one.start(&error)) << error;
+    serve::Client client;
+    ASSERT_TRUE(client.connectUnix(config.unixPath, &error)) << error;
+    for (const char *id : {"s1", "s2"}) {
+        std::string payload;
+        ASSERT_TRUE(client.call(serve::characterizeRequestJson(
+                                    id, campaignSpecToJson(smallSpec())),
+                                &payload, &error))
+            << error;
+        const JsonValue result = parseResponse(payload);
+        EXPECT_EQ(result.find("type")->asString(), "result")
+            << result.dump();
+    }
+    EXPECT_EQ(one.statsJson().find("queue_depth")->asNumber(), 0.0);
 }
 
 TEST(Server, ConcurrentClientsShareOneSimulationPerBenchmark)
@@ -548,10 +544,10 @@ TEST(Server, ConcurrentClientsShareOneSimulationPerBenchmark)
         t.join();
 
     // Identical evaluated content — the cells, spec, and summary bytes
-    // cannot depend on whether the scheduler happened to batch the two
-    // requests or ran them back to back. (The cache section legitimately
-    // can: the first request of a back-to-back pair simulates, the
-    // second hits the warm shared tier.)
+    // cannot depend on how the two runs' tasks interleaved on the pool.
+    // (The cache section legitimately can: whichever request reaches
+    // the trace first simulates it, the other waits for that simulation
+    // or hits the warm shared tier.)
     JsonValue r0 = parseResponse(responses[0]);
     JsonValue r1 = parseResponse(responses[1]);
     ASSERT_EQ(r0.find("type")->asString(), "result") << r0.dump();
@@ -564,7 +560,7 @@ TEST(Server, ConcurrentClientsShareOneSimulationPerBenchmark)
     }
 
     // ...and the shared tier simulated the benchmark exactly once,
-    // whether the requests batched together or ran back to back.
+    // however the two runs interleaved.
     const JsonValue stats = server.statsJson();
     EXPECT_EQ(stats.find("cache")->find("simulations")->asNumber(),
               1.0);
@@ -855,11 +851,9 @@ TEST(Server, EventsRequestReturnsRequestLifecycle)
     };
     EXPECT_NE(detailOf("request_admitted").find("ev1"),
               std::string::npos);
-    EXPECT_NE(detailOf("batch_formed").find("size=1"),
-              std::string::npos);
     EXPECT_NE(detailOf("request_completed").find("ev1"),
               std::string::npos);
-    EXPECT_GE(response.find("next")->asNumber(), 3.0);
+    EXPECT_GE(response.find("next")->asNumber(), 2.0);
 
     // The cursor pages: nothing new after the last seq.
     const JsonValue empty = parseResponse(callServer(
@@ -896,8 +890,7 @@ TEST(Server, TimingsEchoedOnlyWhenRequested)
     ASSERT_EQ(timed.find("type")->asString(), "result");
     const JsonValue *timings = timed.find("timings");
     ASSERT_NE(timings, nullptr);
-    for (const char *field :
-         {"queue_ms", "merge_ms", "execute_ms", "serialize_ms"})
+    for (const char *field : {"execute_ms", "serialize_ms"})
         EXPECT_GE(timings->find(field)->asNumber(), 0.0) << field;
     EXPECT_GE(timings->find("cache")->find("lookups")->asNumber(), 1.0);
 
@@ -925,8 +918,8 @@ TEST(Server, ConcurrentRequestsYieldDistinctSpanTrees)
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
 
-    // Different windows force different batch keys, so the requests
-    // execute as two batches — each request tree must nest cell spans.
+    // Two different campaigns run at once on the shared pool — each
+    // request tree must nest its own cell spans.
     std::vector<std::thread> clients;
     for (int i = 0; i < 2; ++i)
         clients.emplace_back([&, i] {
@@ -942,10 +935,9 @@ TEST(Server, ConcurrentRequestsYieldDistinctSpanTrees)
         t.join();
 
     // The root "request" span ends only after the response frame is
-    // written, and the dispatcher records the "batch" span after it
-    // releases the responses — so a read taken the instant the clients
-    // return can still miss the tail of either tree. Poll until both
-    // trees are complete (bounded), then assert on the final read.
+    // written, so a read taken the instant the clients return can
+    // still miss the tail of either tree. Poll until both trees are
+    // complete (bounded), then assert on the final read.
     std::vector<obs::TraceEvent> events;
     const auto spanTreesComplete =
         [](const std::vector<obs::TraceEvent> &all) {

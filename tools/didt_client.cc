@@ -11,7 +11,7 @@
  *   replay        re-run a campaign from a didt-campaign-v1 JSON file
  *                 (or a bare spec object) through the daemon
  *   watch         subscribe to live daemon telemetry: one status line
- *                 per tick (connections, queue depth, cells/s, cache
+ *                 per tick (connections, requests in flight, cells/s, cache
  *                 hit-rate, p50/p99 request ms)
  *   events        print the daemon's recent structured events
  *
@@ -290,8 +290,8 @@ main(int argc, char **argv)
                  "stats: print Prometheus text exposition format");
     opts.declare("timings", "false",
                  "characterize/replay: print the daemon's latency "
-                 "attribution (queue/merge/execute/serialize ms) to "
-                 "stderr");
+                 "attribution (execute/serialize ms and the "
+                 "request's cache traffic) to stderr");
     opts.declare("interval-ms", "1000",
                  "watch: telemetry frame period in milliseconds");
     opts.declare("count", "0",

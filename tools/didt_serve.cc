@@ -4,9 +4,10 @@
  *
  * Hosts one long-lived Executor and one shared TraceRepository tier
  * (byte-budgeted in-memory LRU + optional disk cache) behind Unix
- * and/or TCP didt-serve-v1 sockets. Compatible characterize requests
- * are batched into one campaign; every result is byte-identical to
- * what a standalone didt_campaign run of the same spec writes.
+ * and/or TCP didt-serve-v1 sockets. Each characterize request runs as
+ * its own campaign on the shared worker pool; every result is
+ * byte-identical to what a standalone didt_campaign run of the same
+ * spec writes.
  *
  * Typical use:
  *   didt_serve --socket /tmp/didt.sock --jobs 8 \
@@ -38,8 +39,9 @@ main(int argc, char **argv)
                  "0 = ephemeral; the bound port is printed)");
     opts.declare("tcp-host", "127.0.0.1", "TCP bind address");
     opts.declare("max-queue", "64",
-                 "admission-queue capacity; further characterize "
-                 "requests are rejected with queue_full");
+                 "admission bound: characterize requests in flight "
+                 "(admitted, not yet answered); further ones are "
+                 "rejected with queue_full");
     opts.declare("cache-bytes", "0",
                  "trace-cache memory budget in bytes (0 = unlimited)");
     opts.declare("cache-dir", "",
@@ -129,12 +131,11 @@ main(int argc, char **argv)
 
     const JsonValue stats = server.statsJson();
     std::printf("didt_serve: drained; served %s requests (%s "
-                "characterizations, %s batches)\n",
+                "characterizations)\n",
                 jsonNumber(stats.find("requests")->asNumber()).c_str(),
                 jsonNumber(
                     stats.find("characterizations")->asNumber())
-                    .c_str(),
-                jsonNumber(stats.find("batches")->asNumber()).c_str());
+                    .c_str());
 
     // Dump the retained event ring so a post-mortem of the service
     // window survives the process (the in-memory ring would not).
