@@ -76,27 +76,6 @@ eventId(const std::string &id)
     return id.empty() ? "-" : id;
 }
 
-/**
- * Run @p phase under a "serve" span named @p label (a child of the
- * calling thread's current span) and return its wall milliseconds,
- * also observed into @p histogram.
- */
-template <typename Phase>
-double
-timedPhase(const char *label, obs::Histogram &histogram, Phase &&phase)
-{
-    const std::chrono::steady_clock::time_point start =
-        std::chrono::steady_clock::now();
-    {
-        obs::ScopedTimer span(label, {}, nullptr, "serve");
-        phase();
-    }
-    const double ms =
-        millisBetween(start, std::chrono::steady_clock::now());
-    histogram.observe(ms);
-    return ms;
-}
-
 /** The optional "timings" sibling of a result response. */
 JsonValue
 requestTimingsJson(double executeMs, double serializeMs,
@@ -533,18 +512,25 @@ Server::serveCharacterize(const Request &request)
     try {
         const CampaignPlan plan = buildCampaignPlan(request.spec);
         CampaignResult result;
-        const double executeMs =
-            timedPhase("execute", serveMetrics().executeMs, [&] {
-                // The execute span parents the run's sweep and cell
-                // spans, pool threads included.
-                ExecutionHooks hooks;
-                hooks.traceContext = obs::currentTraceContext();
-                result = executor_->run(plan, hooks);
-            });
+        double executeMs = 0.0;
+        {
+            // The execute span parents the run's sweep and cell spans,
+            // pool threads included.
+            obs::ScopedTimer span("execute", serveMetrics().executeMs,
+                                  nullptr, "serve");
+            ExecutionHooks hooks;
+            hooks.traceContext = obs::currentTraceContext();
+            result = executor_->run(plan, hooks);
+            executeMs = span.elapsedMillis();
+        }
         JsonValue resultJson;
-        const double serializeMs =
-            timedPhase("serialize", serveMetrics().serializeMs,
-                       [&] { resultJson = campaignToJson(result); });
+        double serializeMs = 0.0;
+        {
+            obs::ScopedTimer span("serialize", serveMetrics().serializeMs,
+                                  nullptr, "serve");
+            resultJson = campaignToJson(result);
+            serializeMs = span.elapsedMillis();
+        }
         // Log completion before the response is written so a client
         // that has seen its result always finds the event on a
         // subsequent `events` query (matches the failure path).
