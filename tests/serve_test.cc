@@ -28,8 +28,6 @@
 #include "core/experiment.hh"
 #include "obs/metrics.hh"
 #include "runner/campaign.hh"
-#include "runner/executor.hh"
-#include "runner/plan.hh"
 #include "runner/result_json.hh"
 #include "runner/trace_repository.hh"
 #include "serve/client.hh"
